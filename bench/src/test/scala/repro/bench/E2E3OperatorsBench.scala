@@ -15,7 +15,7 @@ class E2IncrementalJoinBench extends SparkSpec {
   }
 }
 
-/** E3 — Proposition 4.7 at 4M rows / 2M keys (the recompute must rebuild a
+/** E3 — Proposition 4.7 at 1M rows / 600k keys (the recompute must rebuild a
   * large aggregation; the incremental circuit only probes its state).
   */
 class E3IncrementalDistinctBench extends SparkSpec {

@@ -3,7 +3,7 @@ package repro.bench
 import repro.SparkSpec
 import repro.harness.experiments.{E6Aggregates, E7Window}
 
-/** E6 — §7.2–7.4: incremental grouped aggregates at SF 0.05. */
+/** E6 — §7.2–7.4: incremental grouped aggregates at SF 0.2. */
 class E6AggregatesBench extends SparkSpec {
   test("E6: incremental SUM and MIN per group, Δ sweep") {
     val rows = E6Aggregates.run(spark, sf = 0.2, deltaSizes = Seq(100, 1000, 10000))

@@ -4,6 +4,8 @@ import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
 import scala.jdk.CollectionConverters._
 
+import repro.zset.ZSet
+
 /** DuckDB correctness oracle.
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
@@ -18,19 +20,8 @@ import scala.jdk.CollectionConverters._
 object Oracle {
 
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
-    rows
-      .map(r => idx.map { i =>
-        r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
-        }
-      })
-      .sortBy(_.mkString(""))
+    val idx = cols.sorted.map(cols.indexOf)
+    rows.map(r => idx.map(i => ZSet.canonValue(r.get(i)))).sorted(ZSet.canonOrder)
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {

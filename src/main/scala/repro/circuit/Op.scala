@@ -68,6 +68,14 @@ object Op {
     def step(a: A): A = { val out = g.minus(a, prev); prev = g.compact(a); out }
   }
 
+  /** `make(first input)` run from the first tick on — for operators whose
+    * group is known only from the values (a Z-set's schema).
+    */
+  def fromFirst[A, B](make: A => Op[A, B]): Op[A, B] = new Op[A, B] {
+    private var op: Op[A, B] = _
+    def step(a: A): B = { if (op == null) op = make(a); op.step(a) }
+  }
+
   /** Pointwise stream addition (streams over a group form a group, Prop 2.13). */
   def add[A](implicit g: Group[A]): Op2[A, A, A] = lift2(g.plus)
 

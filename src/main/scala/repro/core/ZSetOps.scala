@@ -11,6 +11,12 @@ import repro.zset.ZSet
   */
 object ZSetOps {
 
+  /** I (Definition 2.19) over a Z-set stream of its first value's schema. */
+  def integrate: Op[ZSet, ZSet] = Op.fromFirst(z => Op.integrate(ZSet.groupOf(z)))
+
+  /** D (Definition 2.17) over a Z-set stream of its first value's schema. */
+  def differentiate: Op[ZSet, ZSet] = Op.fromFirst(z => Op.differentiate(ZSet.groupOf(z)))
+
   /** ↑σ — selection by a SQL predicate over the data columns. Linear. */
   def filter(predicate: String): Op[ZSet, ZSet] =
     Op.lift(z => z.filterZ(expr(predicate)))

@@ -1,0 +1,61 @@
+package repro.nested
+
+import scala.collection.mutable
+
+import repro.recursive.{Fixpoint, FixpointStats}
+import repro.relational.{CircuitInterpreter, Runner, ZExpr}
+import repro.relational.ZExpr._
+import repro.zset.ZSet
+
+/** A loop body incrementalized at both clocks — Algorithm 4.8 and the chain
+  * rule applied once per clock (Theorem 5.4, §6): outer time is input
+  * transactions, inner time is fixpoint iterations. Linear nodes run
+  * unchanged at both levels; ⋈ and × become [[NestedIncrementalBilinear]]
+  * and distinct becomes [[NestedIncrementalDistinct]], each with groups
+  * taken from the schemas of the first values it sees.
+  */
+final class NestedIncrementalRunner(circuit: ZExpr) extends Runner with CircuitInterpreter {
+  private val bilinears = mutable.Map.empty[ZExpr, NestedIncrementalBilinear[ZSet, ZSet, ZSet]]
+  private val distincts = mutable.Map.empty[ZExpr, NestedIncrementalDistinct]
+
+  /** Advance outer time; the next `step` is inner iteration 0. */
+  def newOuterTick(): Unit = {
+    bilinears.values.foreach(_.newOuterTick())
+    distincts.values.foreach(_.newOuterTick())
+  }
+
+  private def bilinear(node: ZExpr, a: ZSet, b: ZSet)(times: (ZSet, ZSet) => ZSet): ZSet =
+    bilinears.getOrElseUpdate(node, new NestedIncrementalBilinear(times)(
+      ZSet.groupOf(a), ZSet.groupOf(b), ZSet.groupOf(times(a, b)))).step(a, b)
+
+  protected def join(node: ZJoin, a: ZSet, b: ZSet, keys: Seq[String]): ZSet =
+    bilinear(node, a, b)(_.join(_, keys))
+  protected def cross(node: ZCross, a: ZSet, b: ZSet): ZSet =
+    bilinear(node, a, b)(_.cartesian(_))
+  protected def distinct(node: ZDistinct, in: ZSet): ZSet =
+    distincts.getOrElseUpdate(node, new NestedIncrementalDistinct()(ZSet.groupOf(in))).step(in)
+
+  def step(inputs: Map[String, ZSet]): ZSet = walk(circuit, inputs)
+}
+
+/** The recursive query `R = distinct(body(I₁…Iₘ, R))`, with `R` the body's
+  * input named "R", maintained under changes of its inputs — the circuit of §6.1 (Figure 2) for any `body`:
+  * {{{
+  *   ΔI → ↑δ₀ → (↑(↑distinct ∘ ↑body)^Δ)^Δ with ↑z⁻¹ feedback → ↑∫ → ΔR
+  * }}}
+  * Each `step` takes one transaction's input changes and returns the view
+  * change, with work proportional to the changes flowing through the loop
+  * (§6.2). Past every earlier transaction's last iteration the outer state
+  * is zero, so the loop may stop at the first zero delta from there on.
+  */
+final class IncrementalFixpoint(body: ZExpr, recEmpty: ZSet, maxIter: Int = Fixpoint.DefaultMaxIter) {
+  private val runner = new NestedIncrementalRunner(ZDistinct(body))
+  private var prevMaxIter = 0
+
+  def step(deltas: Map[String, ZSet]): (ZSet, FixpointStats) = {
+    runner.newOuterTick()
+    val (dR, stats) = Fixpoint.loop(runner, deltas, recEmpty, "R", maxIter, minIter = prevMaxIter)
+    prevMaxIter = math.max(prevMaxIter, stats.iterations)
+    (dR, stats)
+  }
+}

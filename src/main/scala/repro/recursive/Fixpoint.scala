@@ -2,7 +2,7 @@ package repro.recursive
 
 import scala.collection.mutable
 
-import repro.relational.{BatchEval, IncrementalRunner, ZExpr}
+import repro.relational.{BatchEval, IncrementalRunner, Runner, ZExpr}
 import repro.zset.ZSet
 
 /** Per-run fixpoint statistics: the work metrics behind the naïve vs
@@ -54,10 +54,9 @@ object Fixpoint {
   }
 
   /** Semi-naïve evaluation (circuit 5.1, Algorithm 2 of [11]): the loop body
-    * is the *incrementalized* circuit `(↑distinct ∘ ↑body)^Δ` with a z⁻¹
-    * feedback edge; the inputs enter as δ₀(Iₖ) (only at iteration 0) and the
-    * per-iteration output deltas are accumulated by ∫, stopping at the first
-    * zero delta. Correctness is the cycle rule of Proposition 3.2.
+    * is the *incrementalized* circuit `(↑distinct ∘ ↑body)^Δ` run by
+    * [[IncrementalRunner]] around the feedback [[loop]]. Correctness is the
+    * cycle rule of Proposition 3.2.
     *
     * `body` must NOT be wrapped in a top-level distinct — it is added here,
     * mirroring the `distinct ∘ R` composition called T in §6.
@@ -67,8 +66,24 @@ object Fixpoint {
       inputs: Map[String, ZSet],
       recEmpty: ZSet,
       recName: String = "R",
-      maxIter: Int = DefaultMaxIter): (ZSet, FixpointStats) = {
-    val runner = new IncrementalRunner(ZExpr.ZDistinct(body))
+      maxIter: Int = DefaultMaxIter): (ZSet, FixpointStats) =
+    loop(new IncrementalRunner(ZExpr.ZDistinct(body)), inputs, recEmpty, recName, maxIter, minIter = 0)
+
+  /** The δ₀ → body → z⁻¹ feedback → ∫ loop around an incremental loop body:
+    * the inputs enter as δ₀(Iₖ) (only at iteration 0), the body's output
+    * delta is fed back as `recName` at the next iteration, and the non-zero
+    * deltas are accumulated by ∫. It stops at a zero delta once `minIter`
+    * iterations have run: a nested body may emit changes after a zero delta
+    * while its outer state is non-zero, which it is only up to the earlier
+    * ticks' last iteration.
+    */
+  private[repro] def loop(
+      body: Runner,
+      inputs: Map[String, ZSet],
+      recEmpty: ZSet,
+      recName: String,
+      maxIter: Int,
+      minIter: Int): (ZSet, FixpointStats) = {
     val empties = inputs.map { case (n, z) => n -> ZSet.empty(z.spark, z.dataSchema) }
     val work = mutable.Buffer.empty[Long]
     var acc = recEmpty            // ∫ of the output deltas
@@ -76,17 +91,14 @@ object Fixpoint {
     var iter = 0
     var done = false
     while (!done) {
-      require(iter < maxIter, s"semiNaive: no fixpoint after $maxIter iterations")
+      require(iter < maxIter, s"fixpoint: no convergence after $maxIter iterations")
       val dIn = if (iter == 0) inputs else empties // δ₀ of each input
-      val out = runner
-        .step(dIn + (recName -> delta))
-        .compact()
-      val size = out.entryCount
+      delta = body.step(dIn + (recName -> delta)).compact()
+      val size = delta.entryCount
       work += size
-      done = size == 0
-      if (!done) acc = acc.plus(out).compact()
-      delta = out
+      if (size != 0) acc = acc.plus(delta).compact()
       iter += 1
+      done = iter >= minIter && size == 0
     }
     (acc, FixpointStats(iter, work.toSeq))
   }

@@ -4,39 +4,59 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.functions.expr
 
-import repro.core.{IncrementalCartesian, IncrementalDistinct, IncrementalJoin}
+import repro.circuit.Op
+import repro.core.{IncrementalCartesian, IncrementalDistinct, IncrementalJoin, ZSetOps}
 import repro.zset.ZSet
 
 import ZExpr._
 
-/** Non-incremental ("scalar") evaluation of a Z-set circuit on one database
-  * snapshot — the circuits of Table 1 before lifting.
+/** One memoized walk over a Z-set circuit. The linear nodes (σ, map, −, +)
+  * have one meaning at every level of incrementalization (Theorem 3.3); the
+  * three non-linear ones (⋈, ×, distinct) get theirs from the implementing
+  * semantics, given the node and its evaluated operands. A stateful
+  * semantics keys its operator instances by node, so structurally identical
+  * subtrees share one operator (and its state), mirroring
+  * common-subexpression sharing in the circuit diagram.
   */
-object BatchEval {
+trait CircuitInterpreter {
+  protected def join(node: ZJoin, a: ZSet, b: ZSet, keys: Seq[String]): ZSet
+  protected def cross(node: ZCross, a: ZSet, b: ZSet): ZSet
+  protected def distinct(node: ZDistinct, in: ZSet): ZSet
+
+  protected final def walk(e: ZExpr, inputs: Map[String, ZSet]): ZSet = {
+    val memo = mutable.Map.empty[ZExpr, ZSet]
+    def go(e: ZExpr): ZSet = memo.getOrElseUpdate(e, e match {
+      case ZInput(n)          => inputs.getOrElse(n, sys.error(s"missing input $n"))
+      case ZFilter(in, p)     => go(in).filterZ(expr(p))
+      case ZMap(in, es)       => go(in).mapRows(es: _*)
+      case ZNeg(in)           => go(in).negate
+      case ZSum(a, b)         => go(a).plus(go(b))
+      case j @ ZJoin(a, b, k) => { val (x, y) = (go(a), go(b)); join(j, x, y, joinKeys(x, y, k)) }
+      case c @ ZCross(a, b)   => cross(c, go(a), go(b))
+      case d @ ZDistinct(in)  => distinct(d, go(in))
+    })
+    go(e)
+  }
 
   /** Resolve intersect's "join on all columns" encoding (empty key list). */
-  private[relational] def joinKeys(a: ZSet, b: ZSet, keys: Seq[String]): Seq[String] =
+  private def joinKeys(a: ZSet, b: ZSet, keys: Seq[String]): Seq[String] =
     if (keys.nonEmpty) keys
     else {
       val shared = a.dataCols.filter(b.dataCols.contains)
       require(shared.nonEmpty, "join-on-all with no shared columns")
       shared
     }
+}
 
-  def eval(e: ZExpr, inputs: Map[String, ZSet]): ZSet = {
-    val memo = mutable.Map.empty[ZExpr, ZSet]
-    def go(e: ZExpr): ZSet = memo.getOrElseUpdate(e, e match {
-      case ZInput(n)        => inputs.getOrElse(n, sys.error(s"missing input $n"))
-      case ZFilter(in, p)   => go(in).filterZ(expr(p))
-      case ZMap(in, es)     => go(in).mapRows(es: _*)
-      case ZNeg(in)         => go(in).negate
-      case ZSum(a, b)       => go(a).plus(go(b))
-      case ZJoin(a, b, k)   => { val (x, y) = (go(a), go(b)); x.join(y, joinKeys(x, y, k)) }
-      case ZCross(a, b)     => go(a).cartesian(go(b))
-      case ZDistinct(in)    => go(in).distinctZ
-    })
-    go(e)
-  }
+/** Non-incremental ("scalar") evaluation of a Z-set circuit on one database
+  * snapshot — the circuits of Table 1 before lifting.
+  */
+object BatchEval extends CircuitInterpreter {
+  protected def join(node: ZJoin, a: ZSet, b: ZSet, keys: Seq[String]): ZSet = a.join(b, keys)
+  protected def cross(node: ZCross, a: ZSet, b: ZSet): ZSet = a.cartesian(b)
+  protected def distinct(node: ZDistinct, in: ZSet): ZSet = in.distinctZ
+
+  def eval(e: ZExpr, inputs: Map[String, ZSet]): ZSet = walk(e, inputs)
 }
 
 /** A circuit runner: one tick per call, inputs and output are Z-sets.
@@ -53,36 +73,20 @@ trait Runner {
   *  - linear nodes (σ, π/map, +, −) run unchanged (Theorem 3.3),
   *  - ⋈/× become [[IncrementalJoin]]/[[IncrementalCartesian]] (Theorem 3.4),
   *  - distinct becomes [[IncrementalDistinct]] (Proposition 4.7).
-  *
-  * Structurally identical subtrees share one operator instance (and its
-  * state), mirroring common-subexpression sharing in the circuit diagram.
   */
-final class IncrementalRunner(circuit: ZExpr) extends Runner {
+final class IncrementalRunner(circuit: ZExpr) extends Runner with CircuitInterpreter {
   private val joins     = mutable.Map.empty[ZExpr, IncrementalJoin]
   private val crosses   = mutable.Map.empty[ZExpr, IncrementalCartesian]
   private val distincts = mutable.Map.empty[ZExpr, IncrementalDistinct]
 
-  def step(inputs: Map[String, ZSet]): ZSet = {
-    val memo = mutable.Map.empty[ZExpr, ZSet]
-    def go(e: ZExpr): ZSet = memo.getOrElseUpdate(e, e match {
-      case ZInput(n)      => inputs.getOrElse(n, sys.error(s"missing input $n"))
-      case ZFilter(in, p) => go(in).filterZ(expr(p))
-      case ZMap(in, es)   => go(in).mapRows(es: _*)
-      case ZNeg(in)       => go(in).negate
-      case ZSum(a, b)     => go(a).plus(go(b))
-      case j @ ZJoin(a, b, k) =>
-        val (x, y) = (go(a), go(b))
-        val op = joins.getOrElseUpdate(j, new IncrementalJoin(BatchEval.joinKeys(x, y, k)))
-        op.step(x, y)
-      case c @ ZCross(a, b) =>
-        val op = crosses.getOrElseUpdate(c, new IncrementalCartesian)
-        op.step(go(a), go(b))
-      case d @ ZDistinct(in) =>
-        val op = distincts.getOrElseUpdate(d, new IncrementalDistinct)
-        op.step(go(in))
-    })
-    go(circuit)
-  }
+  protected def join(node: ZJoin, a: ZSet, b: ZSet, keys: Seq[String]): ZSet =
+    joins.getOrElseUpdate(node, new IncrementalJoin(keys)).step(a, b)
+  protected def cross(node: ZCross, a: ZSet, b: ZSet): ZSet =
+    crosses.getOrElseUpdate(node, new IncrementalCartesian).step(a, b)
+  protected def distinct(node: ZDistinct, in: ZSet): ZSet =
+    distincts.getOrElseUpdate(node, new IncrementalDistinct).step(in)
+
+  def step(inputs: Map[String, ZSet]): ZSet = walk(circuit, inputs)
 }
 
 /** Algorithm 4.8 stopped after step 4: the lifted circuit surrounded by I
@@ -91,22 +95,12 @@ final class IncrementalRunner(circuit: ZExpr) extends Runner {
   * baseline against which incremental circuits are measured (§4.5).
   */
 final class NaiveLiftedRunner(circuit: ZExpr) extends Runner {
-  private val integrals = mutable.Map.empty[String, ZSet]
-  private var prevOut: Option[ZSet] = None
+  private val integrals = mutable.Map.empty[String, Op[ZSet, ZSet]]
+  private val differentiate = ZSetOps.differentiate
 
   def step(inputs: Map[String, ZSet]): ZSet = {
-    val snap = inputs.map { case (n, d) =>
-      val acc = integrals.get(n).map(_.plus(d)).getOrElse(d).compact()
-      integrals(n) = acc
-      n -> acc
-    }
-    val out = BatchEval.eval(circuit, snap)
-    val delta = prevOut match {
-      case Some(p) => out.minus(p)
-      case None    => out
-    }
-    prevOut = Some(out.compact())
-    delta
+    val snap = inputs.map { case (n, d) => n -> integrals.getOrElseUpdate(n, ZSetOps.integrate).step(d) }
+    differentiate.step(BatchEval.eval(circuit, snap))
   }
 }
 

@@ -1,6 +1,7 @@
 package repro.whileq
 
 import repro.circuit.Op
+import repro.core.ZSetOps
 import repro.zset.ZSet
 
 /** Relational while-queries (§7.7):
@@ -35,19 +36,9 @@ object WhileQueries {
     */
   final class IncrementalWhile(q: ZSet => ZSet, maxIter: Int = 10000)
       extends Op[ZSet, ZSet] {
-    private var integral: Option[ZSet] = None
-    private var prevOut: Option[ZSet] = None
+    private val circuit =
+      ZSetOps.integrate.andThen(Op.lift(whileFix(_: ZSet, q, maxIter))).andThen(ZSetOps.differentiate)
 
-    def step(di: ZSet): ZSet = {
-      val i = integral.map(_.plus(di)).getOrElse(di).compact()
-      integral = Some(i)
-      val out = whileFix(i, q, maxIter)
-      val delta = prevOut match {
-        case Some(p) => out.minus(p).consolidate()
-        case None    => out
-      }
-      prevOut = Some(out.compact())
-      delta
-    }
+    def step(di: ZSet): ZSet = circuit.step(di)
   }
 }

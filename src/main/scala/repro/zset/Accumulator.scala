@@ -20,7 +20,9 @@ final class Accumulator private (
 
   def value: ZSet = state
 
-  /** Add a change. The delta is compacted (small); the big state is not. */
+  /** Add a change as given: the delta is not compacted here (callers pass
+    * compacted ones), and the state only on every `consolidateEvery`-th add.
+    */
   def add(d: ZSet): Unit = {
     state = state.plus(d)
     pendingChunks += 1
@@ -29,9 +31,6 @@ final class Accumulator private (
       pendingChunks = 0
     }
   }
-
-  /** Add a change that is already materialized (skips the delta compact). */
-  def addCompacted(d: ZSet): Unit = add(d)
 }
 
 object Accumulator {

@@ -132,10 +132,10 @@ final class ZSet private (val df: DataFrame, private val compacted: Boolean = fa
     val n = c.dataCols.size
     c.df.collect().toSeq
       .map { r =>
-        val vals = (0 until n).map(i => ZSet.canonValue(r.get(i)))
+        val vals: Seq[String] = (0 until n).map(i => ZSet.canonValue(r.get(i)))
         (vals, r.getLong(n))
       }
-      .sortBy(_._1.mkString(""))
+      .sortBy(_._1)(ZSet.canonOrder)
   }
 
   // ----------------------------------------------------------- conversions
@@ -218,11 +218,22 @@ object ZSet {
     override def compact(a: ZSet): ZSet = a.compact()
   }
 
-  private[zset] def canonValue(v: Any): String = v match {
+  /** The group of Z-sets with `z`'s schema. */
+  def groupOf(z: ZSet): Group[ZSet] = group(z.spark, z.dataSchema)
+
+  /** The canonical text of one value, shared by every comparison of rows
+    * across engines: nulls marked, floating point rounded to 6 places.
+    */
+  private[repro] def canonValue(v: Any): String = v match {
     case null                         => "∅"
     case d: Double                    => f"$d%.6f"
     case f: Float                     => f"${f.toDouble}%.6f"
     case bd: java.math.BigDecimal     => f"${bd.doubleValue}%.6f"
     case x                            => x.toString
   }
+
+  /** Orders canonical rows by their value sequence, so distinct rows never
+    * share a sort key, as values joined into one string can.
+    */
+  private[repro] val canonOrder: Ordering[Seq[String]] = Ordering.Implicits.seqOrdering
 }
