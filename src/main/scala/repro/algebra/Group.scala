@@ -7,7 +7,9 @@ package repro.algebra
   *
   * `compact` is an implementation hook: stateful stream operators call it on
   * every state update so DataFrame-backed values can cut lineage/consolidate.
-  * It must be semantically the identity.
+  * It must be semantically the identity. For Z-sets it also records the
+  * value's entry count, so a later `isZero` of the compacted value, or
+  * `compact` of it again, costs no Spark job.
   */
 trait Group[A] {
   def zero: A
@@ -17,7 +19,9 @@ trait Group[A] {
 
   def minus(a: A, b: A): A = plus(a, negate(b))
 
-  /** Semantically the identity; may consolidate / materialize. */
+  /** Semantically the identity; may consolidate / materialize, and may make
+    * `isZero` of the result free.
+    */
   def compact(a: A): A = a
 }
 

@@ -1,6 +1,6 @@
 package repro.zset
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Observation, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -17,8 +17,22 @@ import repro.algebra.Group
   * `zequals`, aggregation) consolidates first. All transformations here are
   * plain DataFrame combinators, so each one is planned and executed by
   * Catalyst.
+  *
+  * Known count: `knownCount = Some(n)` means the DataFrame is consolidated and
+  * materialized and holds exactly `n` rows. `compact()` learns `n` while it
+  * materializes (no extra Spark action) and `ZSet.empty` is `Some(0)`; with a
+  * known count, `compact`, `consolidate`, `isEmpty` and `entryCount` run no
+  * Spark job. A known zero propagates structurally, so work on empty values
+  * launches nothing:
+  *   - σ, π, map, negate, scale, consolidate, distinct and `broadcastHint` of
+  *     a known zero are a known zero;
+  *   - ⋈ and × with a known-zero side are a known zero;
+  *   - `plus` with a known-zero operand is the other operand, in the left
+  *     operand's column order and with the other operand's known count.
+  * Every shortcut still builds the result's (lazy) DataFrame, so schemas and
+  * argument checks are the same as without it.
   */
-final class ZSet private (val df: DataFrame, private val compacted: Boolean = false)
+final class ZSet private (val df: DataFrame, private val knownCount: Option[Long] = None)
     extends Serializable {
   import ZSet.W
 
@@ -30,31 +44,45 @@ final class ZSet private (val df: DataFrame, private val compacted: Boolean = fa
   /** Schema of the data columns only. */
   def dataSchema: StructType = StructType(df.schema.fields.filterNot(_.name == W))
 
-  private def requireSameCols(that: ZSet, op: String): Unit =
+  private def isKnownZero: Boolean = knownCount.contains(0L)
+
+  /** The result of a unary operator that maps zero to zero. */
+  private def keepZero(out: DataFrame): ZSet =
+    new ZSet(out, if (isKnownZero) Some(0L) else None)
+
+  /** Same column names with the same types; nullability is ignored. */
+  private def requireSameCols(that: ZSet, op: String): Unit = {
+    def types(z: ZSet) = z.dataSchema.fields.map(f => f.name -> f.dataType).toMap
+    val (mine, theirs) = (types(this), types(that))
     require(
-      dataCols.sorted == that.dataCols.sorted,
-      s"$op: schema mismatch: $dataCols vs ${that.dataCols}")
+      mine.keySet == theirs.keySet &&
+        mine.forall { case (n, t) => DataType.equalsStructurally(t, theirs(n), ignoreNullability = true) },
+      s"$op: schema mismatch: $dataSchema vs ${that.dataSchema}")
+  }
 
   // ---------------------------------------------------------------- group ops
 
   /** Z-set addition (pointwise weight sum). Lazy: does not consolidate. */
   def plus(that: ZSet): ZSet = {
     requireSameCols(that, "plus")
-    val ordered = that.df.select((dataCols :+ W).map(col): _*)
-    new ZSet(df.select((dataCols :+ W).map(col): _*).unionByName(ordered))
+    val cols = (dataCols :+ W).map(col)
+    if (that.isKnownZero) new ZSet(df.select(cols: _*), knownCount)
+    else if (isKnownZero) new ZSet(that.df.select(cols: _*), that.knownCount)
+    else new ZSet(df.select(cols: _*).unionByName(that.df.select(cols: _*)))
   }
 
   /** Z-set negation (weights flipped). */
-  def negate: ZSet = new ZSet(df.withColumn(W, -col(W)))
+  def negate: ZSet = keepZero(df.withColumn(W, -col(W)))
 
   def minus(that: ZSet): ZSet = plus(that.negate)
 
   /** Multiply every weight by a constant. */
-  def scale(k: Long): ZSet = new ZSet(df.withColumn(W, col(W) * lit(k)))
+  def scale(k: Long): ZSet = keepZero(df.withColumn(W, col(W) * lit(k)))
 
   /** One row per distinct tuple, weights summed, zero-weight tuples dropped. */
   def consolidate(): ZSet =
-    if (dataCols.isEmpty) {
+    if (knownCount.isDefined) this
+    else if (dataCols.isEmpty) {
       // Degenerate nullary relation: a single abstract tuple with a net weight.
       new ZSet(df.agg(sum(W) as W).where(col(W) =!= 0))
     } else {
@@ -68,18 +96,18 @@ final class ZSet private (val df: DataFrame, private val compacted: Boolean = fa
 
   /** `distinct` (Definition 4.3): multiplicity 1 where positive, else absent. */
   def distinctZ: ZSet =
-    new ZSet(consolidate().df.where(col(W) > 0).withColumn(W, lit(1L)))
+    keepZero(consolidate().df.where(col(W) > 0).withColumn(W, lit(1L)))
 
   /** Selection σ: keep tuples satisfying `cond` (a predicate on data columns). */
-  def filterZ(cond: Column): ZSet = new ZSet(df.where(cond))
+  def filterZ(cond: Column): ZSet = keepZero(df.where(cond))
 
   /** Projection π onto a subset of columns; weights of merged tuples add. */
-  def project(cols: String*): ZSet = new ZSet(df.select((cols :+ W).map(col): _*))
+  def project(cols: String*): ZSet = keepZero(df.select((cols :+ W).map(col): _*))
 
   /** Generalized map: SQL projection expressions ("expr AS alias").
     * Linear in the Z-set (weights carried through and summed on collision).
     */
-  def mapRows(sqlExprs: String*): ZSet = new ZSet(df.selectExpr(sqlExprs :+ W: _*))
+  def mapRows(sqlExprs: String*): ZSet = keepZero(df.selectExpr(sqlExprs :+ W: _*))
 
   /** Equi-join on shared key columns; weights multiply (bilinear, Thm 3.4's ⋈).
     * Non-key data columns of the two sides must be disjoint.
@@ -90,7 +118,7 @@ final class ZSet private (val df: DataFrame, private val compacted: Boolean = fa
     require(clash.isEmpty, s"join: non-key column clash: $clash")
     val lw = "__wl"; val rw = "__wr"
     val j = df.withColumnRenamed(W, lw).join(that.df.withColumnRenamed(W, rw), keys)
-    new ZSet(j.withColumn(W, col(lw) * col(rw)).drop(lw, rw))
+    product(that, j.withColumn(W, col(lw) * col(rw)).drop(lw, rw))
   }
 
   /** Cartesian product ×; weights multiply. Column names must be disjoint. */
@@ -99,17 +127,21 @@ final class ZSet private (val df: DataFrame, private val compacted: Boolean = fa
     require(clash.isEmpty, s"cartesian: column clash: $clash")
     val lw = "__wl"; val rw = "__wr"
     val j = df.withColumnRenamed(W, lw).crossJoin(that.df.withColumnRenamed(W, rw))
-    new ZSet(j.withColumn(W, col(lw) * col(rw)).drop(lw, rw))
+    product(that, j.withColumn(W, col(lw) * col(rw)).drop(lw, rw))
   }
+
+  /** A bilinear result: zero when either operand is a known zero. */
+  private def product(that: ZSet, out: DataFrame): ZSet =
+    new ZSet(out, if (isKnownZero || that.isKnownZero) Some(0L) else None)
 
   // ------------------------------------------------------------- observations
 
-  def isEmpty: Boolean = consolidate().df.isEmpty
+  def isEmpty: Boolean = knownCount.fold(consolidate().df.isEmpty)(_ == 0L)
 
   def nonEmpty: Boolean = !isEmpty
 
   /** Number of distinct tuples with non-zero weight. */
-  def entryCount: Long = consolidate().df.count()
+  def entryCount: Long = knownCount.getOrElse(consolidate().df.count())
 
   /** Sum of all multiplicities (the COUNT aggregate of §7.2 on the Z-set). */
   def totalWeight: Long = {
@@ -159,20 +191,24 @@ final class ZSet private (val df: DataFrame, private val compacted: Boolean = fa
     * the Spark analogue of DBSP's indexed-state lookup (the global
     * auto-broadcast threshold stays disabled; the hint is deliberate).
     */
-  def broadcastHint: ZSet = new ZSet(broadcast(df))
+  def broadcastHint: ZSet = keepZero(broadcast(df))
 
   // ------------------------------------------------------------ maintenance
 
   /** Consolidate and materialize (cut lineage). Semantically the identity;
     * stateful stream operators call this on every state update so that tick
-    * t's plan does not contain tick t-1's.
+    * t's plan does not contain tick t-1's. The eager checkpoint's own job
+    * also counts the rows it materializes (a Spark `Observation`), so the
+    * result's entry count is known without another action.
     */
   def compact(): ZSet =
-    if (compacted) this
+    if (knownCount.isDefined) this
     else {
-      val c = consolidate().df
+      val rows = Observation()
+      val c = consolidate().df.observe(rows, count(lit(1)) as "n")
       val parts = math.max(1, math.min(8, spark.sparkContext.defaultParallelism))
-      new ZSet(c.coalesce(parts).localCheckpoint(), compacted = true)
+      val materialized = c.coalesce(parts).localCheckpoint()
+      new ZSet(materialized, Some(rows.get("n").asInstanceOf[Long]))
     }
 
   /** Count of physical rows (no consolidation) — cheap way to force a plan. */
@@ -206,7 +242,8 @@ object ZSet {
   /** The empty Z-set with the given data schema. */
   def empty(spark: SparkSession, schema: StructType): ZSet = {
     val full = StructType(schema.fields :+ StructField(W, LongType, nullable = false))
-    raw(spark.createDataFrame(spark.sparkContext.emptyRDD[org.apache.spark.sql.Row], full))
+    new ZSet(spark.createDataFrame(spark.sparkContext.emptyRDD[org.apache.spark.sql.Row], full),
+      Some(0L))
   }
 
   /** The group of Z-sets over a fixed schema (§4.1: `Z[A]` is abelian). */

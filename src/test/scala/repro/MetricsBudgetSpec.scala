@@ -1,0 +1,111 @@
+package repro
+
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.types._
+
+import repro.nested.IncrementalTransitiveClosure
+import repro.zset.ZSet
+
+/** Spark-job budgets: work on empty and already-consolidated Z-sets launches
+  * no job, and a single-edge update of the incremental transitive closure
+  * stays under a ceiling. Ceilings are the counts measured when they were
+  * set; they may only ever be lowered.
+  */
+class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
+  import MetricsBudgetSpec._
+
+  /** Runs `body` and counts the Spark jobs it launched, broadcast jobs
+    * included: jobs are told apart by a local property, which jobs started
+    * from Spark's own threads on this thread's behalf inherit.
+    */
+  private def jobsOf[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val tag = s"budget-${ids.incrementAndGet()}"
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty(Key) == tag)) jobs.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    sc.setLocalProperty(Key, tag)
+    try {
+      val out = body
+      TestListenerBus.drain(sc)
+      (out, jobs.get)
+    } finally {
+      sc.setLocalProperty(Key, null)
+      sc.removeSparkListener(listener)
+    }
+  }
+
+  private val kv = StructType(Seq(StructField("k", LongType), StructField("v", LongType)))
+
+  test("known-zero plus, mapRows, join, compact, isEmpty and entryCount launch no job") {
+    val zero = ZSet.empty(spark, kv)
+    val a = zs2("k", "u", (1L, 10L) -> 1L, (2L, 20L) -> -1L)
+    val (_, jobs) = jobsOf {
+      val sum = zero.plus(zero.negate)
+      assert(sum.isEmpty && sum.entryCount == 0L)
+      val mapped = sum.mapRows("k", "v + 1 AS v")
+      assert(mapped.isEmpty && mapped.compact().entryCount == 0L)
+      val joined = mapped.join(a, Seq("k"))
+      assert(joined.isEmpty && joined.entryCount == 0L)
+      val joinedRight = a.join(zero, Seq("k"))
+      assert(joinedRight.compact().isEmpty)
+      assert(a.cartesian(zero.project("v")).entryCount == 0L)
+      assert(zero.filterZ(zero.df("k") > 0).distinctZ.consolidate().isEmpty)
+    }
+    assert(jobs == 0)
+  }
+
+  test("entryCount and isEmpty after compact() launch no job") {
+    val a = zs2("k", "v", (1L, 10L) -> 2L, (1L, 10L) -> -1L, (2L, 20L) -> 1L, (3L, 30L) -> 0L)
+    val (c, compactJobs) = jobsOf(a.compact())
+    // Learning the count adds no Spark action to the checkpoint itself.
+    val (_, checkpointJobs) = jobsOf(a.consolidate().df.localCheckpoint())
+    assert(compactJobs > 0 && compactJobs == checkpointJobs)
+    val (_, jobs) = jobsOf {
+      assert(c.entryCount == 2L)
+      assert(!c.isEmpty && c.nonEmpty)
+      assert(c.compact() eq c)
+      assert(c.consolidate() eq c)
+      // Adding a known zero keeps the known count.
+      assert(c.plus(ZSet.empty(spark, kv)).entryCount == 2L)
+      assert(ZSet.empty(spark, kv).plus(c).entryCount == 2L)
+    }
+    assert(jobs == 0)
+  }
+
+  test("physicalCount stays a real Spark count") {
+    val c = zs1("k", 1L -> 1L, 2L -> 1L).compact()
+    val (n, jobs) = jobsOf(c.physicalCount)
+    assert(n == 2L && jobs > 0)
+  }
+
+  test("a single-edge update of the incremental transitive closure stays under its job ceiling") {
+    val itc = new IncrementalTransitiveClosure(spark)
+    itc.step(zs2("h", "t", dag.map(_ -> 1L): _*))
+    val (_, insertJobs) = jobsOf(itc.step(zs2("h", "t", (0L, 5L) -> 1L)))
+    val (_, deleteJobs) = jobsOf(itc.step(zs2("h", "t", (0L, 5L) -> -1L)))
+    info(s"jobs: insert $insertJobs, delete $deleteJobs")
+    assert(insertJobs <= TcInsertCeiling)
+    assert(deleteJobs <= TcDeleteCeiling)
+  }
+}
+
+object MetricsBudgetSpec {
+  private val Key = "repro.budget"
+  private val ids = new AtomicInteger
+
+  /** Three layers of three nodes; every node has two edges into the next. */
+  private val dag: Seq[(Long, Long)] = Seq(
+    0L -> 3L, 0L -> 4L, 1L -> 4L, 1L -> 5L, 2L -> 5L, 2L -> 3L,
+    3L -> 6L, 3L -> 7L, 4L -> 7L, 4L -> 8L, 5L -> 8L, 5L -> 6L)
+
+  // Measured on Spark 4.1.2, local[4]: 39 and 39 jobs.
+  private val TcInsertCeiling = 39
+  private val TcDeleteCeiling = 39
+}

@@ -111,4 +111,63 @@ class ZSetLawsSpec extends SparkSpec with ZSetFixtures {
     val delta = zs1("k", 2L -> -1L)
     assert(entriesOf(i.plus(delta).distinctZ) == Set((Seq("1"), 1L)))
   }
+
+  // ------------------------------------------- known counts change no result
+
+  /** Random Z-sets over two long columns with the given names, in that
+    * order: empty, fully cancelling (compacted and not), compacted and
+    * uncompacted non-zero ones.
+    */
+  private def variants(rnd: Random, names: Seq[String]): Seq[ZSet] = {
+    def named(z: ZSet) =
+      ZSet.raw(z.df.select(col("k") as names(0), col("v") as names(1), col(ZSet.W)))
+    val a = named(randZ2(rnd, positive = false))
+    val b = named(randZ2(rnd, positive = true))
+    val cancelled = a.plus(a.negate)
+    Seq(ZSet.empty(spark, a.dataSchema), cancelled, cancelled.compact(), a.compact(), a.plus(b))
+  }
+
+  /** A copy of `z` with the same DataFrame and no known count. */
+  private def fresh(z: ZSet): ZSet = ZSet.raw(z.df)
+
+  private def sameResult(label: String, known: ZSet, unknown: ZSet): Unit = {
+    assert(known.dataCols == unknown.dataCols, s"$label: column order")
+    if (!known.zequals(unknown)) fail(s"$label: ${known.entries()} vs ${unknown.entries()}")
+    val n = unknown.entryCount
+    assert(known.entryCount == n && known.isEmpty == (n == 0L), s"$label: entry count")
+  }
+
+  test("unary operators give the same result with and without a known count") {
+    val rnd = new Random(7)
+    val unary: Seq[(String, ZSet => ZSet)] = Seq(
+      "negate" -> (_.negate),
+      "scale" -> (_.scale(-2)),
+      "filter" -> (_.filterZ(col("k") > 1)),
+      "project" -> (_.project("v")),
+      "map" -> (_.mapRows("v AS k", "k + 1 AS v")),
+      "distinct" -> (_.distinctZ),
+      "consolidate" -> (_.consolidate()),
+      "broadcast" -> (_.broadcastHint),
+      "compact" -> (_.compact()))
+    for ((z, i) <- variants(rnd, Seq("k", "v")).zipWithIndex; (name, op) <- unary)
+      sameResult(s"$name of variant $i", op(z), op(fresh(z)))
+  }
+
+  test("binary operators give the same result with and without known counts") {
+    val rnd = new Random(8)
+    val lefts = variants(rnd, Seq("k", "v"))
+    val binary: Seq[(String, (ZSet, ZSet) => ZSet, Seq[ZSet])] = Seq(
+      ("plus", _.plus(_), variants(rnd, Seq("v", "k"))), // the left's order must win
+      ("minus", _.minus(_), variants(rnd, Seq("v", "k"))),
+      ("join", _.join(_, Seq("k")), variants(rnd, Seq("k", "u"))),
+      ("cartesian", _.cartesian(_), variants(rnd, Seq("x", "y"))))
+    for ((name, op, rights) <- binary; (a, i) <- lefts.zipWithIndex; (b, j) <- rights.zipWithIndex)
+      sameResult(s"$name of variants $i, $j", op(a, b), op(fresh(a), fresh(b)))
+  }
+
+  test("compact().entryCount is the consolidated row count") {
+    val rnd = new Random(9)
+    for (z <- variants(rnd, Seq("k", "v")) ++ variants(rnd, Seq("v", "k")))
+      assert(z.compact().entryCount == fresh(z).consolidate().df.count())
+  }
 }

@@ -167,4 +167,20 @@ class ZSetSpec extends SparkSpec with ZSetFixtures {
     val union = a.plus(b).distinctZ
     assert(entriesOf(union) == Set((Seq("1"), 1L), (Seq("2"), 1L), (Seq("3"), 1L)))
   }
+
+  test("plus rejects a column of another type, also against a known zero") {
+    val longs = zs1("k", 1L -> 1L)
+    val strings = zsS("k", "a" -> 1L)
+    val emptyLongs = ZSet.empty(spark, longs.dataSchema)
+    val emptyStrings = ZSet.empty(spark, strings.dataSchema)
+    for ((a, b) <- Seq(longs -> strings, emptyLongs -> strings, longs -> emptyStrings,
+                       emptyLongs -> emptyStrings)) {
+      intercept[IllegalArgumentException](a.plus(b))
+      intercept[IllegalArgumentException](b.plus(a))
+    }
+    // Nullability is not part of the check.
+    val nullable = ZSet.empty(spark, StructType(Seq(StructField("k", LongType, nullable = true))))
+    assert(longs.dataSchema("k").nullable != nullable.dataSchema("k").nullable)
+    assert(longs.plus(nullable).zequals(longs) && nullable.plus(longs).zequals(longs))
+  }
 }
