@@ -1,10 +1,11 @@
 package repro.agg
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.circuit.Op
-import repro.zset.ZSet
+import repro.core.ZSetOps
+import repro.zset.{Trace, ZSet}
 
 /** Aggregation functions over Z-sets (§7.2). COUNT and SUM are *linear*
   * maps from Z[A] into the result group; MIN is not (deletions may need the
@@ -68,141 +69,104 @@ object GroupAggregate {
   * view delta (retraction of the old group row + assertion of the new one)
   * for *groupings that changed* — §7.4's "partly incremental" evaluation.
   *
-  * For linear aggregates (COUNT/SUM/AVG) the state is one accumulator row
-  * per group. For MIN the full input integral is kept and the touched
-  * groups' minima recomputed from it — the paper's brute-force fallback.
+  * The state is one [[Trace]]. For linear aggregates (COUNT/SUM/AVG) it holds
+  * the Z-set of accumulator rows `(keys, __cnt[, __sm])`, one per non-empty
+  * group; each tick appends the touched groups' new rows minus their old
+  * ones. For MIN it holds the full input integral, and the touched groups'
+  * minima are recomputed from it — the paper's brute-force fallback. Either
+  * way the old output rows are rendered from the state probed by the touched
+  * keys, so no copy of the view is kept.
   */
 final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
     extends Op[ZSet, ZSet] {
   require(keys.nonEmpty, "use IncrementalScalarAggregate for global aggregates")
 
   private val W = ZSet.W
-  private var acc: Option[DataFrame] = None                    // keys ++ accumulators (linear only)
-  private var integral: Option[repro.zset.Accumulator] = None  // full input integral (MIN only)
-  private var view: Option[ZSet] = None                        // current output view (for retractions)
+  private val state = new Trace
 
-  private def isLinear: Boolean = f match {
-    case _: AggFunc.Min => false
-    case _              => true
-  }
-
-  def step(d: ZSet): ZSet = {
-    val spark = d.spark
-    // One aggregation of the change gives both the per-group delta and the
-    // touched-key set (its key column is already unique).
-    val dAgg = d.df.groupBy(keys.map(col): _*)
-      .agg(GroupAggregate.accExprs(f).head, GroupAggregate.accExprs(f).tail: _*)
-      .localCheckpoint()
-    val touched = broadcast(dAgg.select(keys.map(col): _*))
-
-    // New accumulator rows for the touched groups.
-    val newTouched: DataFrame =
-      if (isLinear) {
-        acc match {
-          case None => dAgg
-          case Some(st) =>
-            val oldTouched = st.join(touched, keys.toSeq, "left_semi")
-            val accs = sumAccs()
-            oldTouched.unionByName(dAgg)
-              .groupBy(keys.map(col): _*)
-              .agg(accs.head, accs.tail: _*)
-        }
-      } else {
-        // MIN: recompute touched groups from the updated integral, restricted
-        // to the touched keys first (broadcast semi-join ≈ indexed lookup).
-        val a = integral.getOrElse {
-          val x = repro.zset.Accumulator.empty(spark, d.dataSchema); integral = Some(x); x
-        }
-        a.add(d.compact())
-        val restricted = a.value.df.join(touched, keys.toSeq, "left_semi")
-        ZSet.raw(restricted).consolidate().df
-          .groupBy(keys.map(col): _*)
-          .agg(GroupAggregate.accExprs(f).head, GroupAggregate.accExprs(f).tail: _*)
+  def step(d: ZSet): ZSet =
+    if (d.isKnownZero) ZSet.empty(d.spark, GroupAggregate.batch(d, keys, f).dataSchema)
+    else {
+      // The change of the accumulator rows of the touched groups.
+      val accChange = f match {
+        case _: AggFunc.Min =>
+          val dc = d.compact()
+          val old = state.probe(dc, keys)
+          state.append(dc)
+          accumulate(old.plus(dc).consolidate()).minus(accumulate(old.consolidate()))
+        case _ =>
+          val dAcc = accumulate(d)
+          val old = state.probe(dAcc, keys).consolidate()
+          val change = merge(old, dAcc).minus(old).compact()
+          state.append(change)
+          change
       }
-
-    // One row per touched group — weight 1, no extra distinct needed.
-    val newRows = ZSet.raw(
-      newTouched
+      ZSet.raw(accChange.df
         .where(col("__cnt") =!= 0)
-        .select((keys.map(col) :+ (GroupAggregate.render(f) as f.alias)): _*)
-        .withColumn(ZSet.W, lit(1L)))
-
-    val oldView = view.getOrElse(ZSet.empty(spark, newRows.dataSchema))
-    val oldRows = ZSet.raw(
-      oldView.df.join(touched, keys.toSeq, "left_semi"))
-
-    val out = newRows.minus(oldRows).compact()
-
-    if (isLinear) {
-      val untouched = acc.map(_.join(touched, keys.toSeq, "left_anti"))
-      val merged = untouched.map(_.unionByName(newTouched)).getOrElse(newTouched)
-      acc = Some(merged.where(col("__cnt") =!= 0).coalesce(8).localCheckpoint())
+        .select((keys.map(col) :+ (GroupAggregate.render(f) as f.alias) :+ col(W)): _*))
+        .compact()
     }
-    view = Some(oldView.plus(out).compact())
-    out
+
+  /** One accumulator row per group of `z`, weight 1. */
+  private def accumulate(z: ZSet): ZSet = {
+    val accs = GroupAggregate.accExprs(f)
+    ZSet.raw(z.df.groupBy(keys.map(col): _*).agg(accs.head, accs.tail: _*).withColumn(W, lit(1L)))
   }
 
-  private def sumAccs(): Seq[Column] = f match {
-    case AggFunc.Count(_) => Seq(sum(col("__cnt")) as "__cnt")
-    case _                => Seq(sum(col("__cnt")) as "__cnt", sum(col("__sm")) as "__sm")
+  /** The new accumulator rows of the touched groups: old rows plus the
+    * change's, summed with their weights; groups whose count reaches 0 drop.
+    */
+  private def merge(old: ZSet, dAcc: ZSet): ZSet = {
+    val accs = old.dataCols.filterNot(keys.contains).map(a => sum(col(a) * col(W)) as a)
+    ZSet.raw(old.plus(dAcc).df
+      .groupBy(keys.map(col): _*).agg(accs.head, accs.tail: _*)
+      .where(col("__cnt") =!= 0)
+      .withColumn(W, lit(1L)))
   }
 }
 
-/** Global (non-grouped) aggregates (§7.2): the linear aggregation followed by
-  * `makeset` to produce a singleton Z-set. Linear accumulators update in
-  * O(|change|); `(↑makeset)^Δ` is the retract/assert pair on the singleton.
-  * MIN keeps the full integral and recomputes (brute force).
+/** Global (non-grouped) aggregates (§7.2) as circuits of stream operators.
+  * Linear aggregates integrate the per-tick (count, sum) pair — O(|change|)
+  * per tick — then `makeset` renders the singleton Z-set and D turns it into
+  * the retract/assert pair. MIN is the brute-force D ∘ ↑min ∘ I over the
+  * input integral.
   */
 final class IncrementalScalarAggregate(f: AggFunc) extends Op[ZSet, ZSet] {
-  private var cnt: Long = 0L
-  private var sm: Double = 0.0
-  private var integral: Option[ZSet] = None
-  private var prevRow: Option[ZSet] = None
-
-  def step(d: ZSet): ZSet = {
-    val spark = d.spark
-    f match {
-      case _: AggFunc.Min =>
-        val next = integral.map(_.plus(d)).getOrElse(d).compact()
-        integral = Some(next)
-      case _ =>
-        val r = d.df.agg(
-          coalesce(sum(col(ZSet.W)), lit(0L)),
-          f match {
-            case AggFunc.Sum(c, _) => coalesce(sum(col(c).cast("double") * col(ZSet.W)), lit(0.0))
-            case AggFunc.Avg(c, _) => coalesce(sum(col(c).cast("double") * col(ZSet.W)), lit(0.0))
-            case _                 => lit(0.0)
-          }).head()
-        cnt += r.getLong(0)
-        sm += r.getDouble(1)
-    }
-
-    val newRow: ZSet = f match {
-      case AggFunc.Count(a) =>
-        if (cnt == 0) emptyOut(spark, a, longTyped = true)
-        else ZSet.fromSet(spark.range(1).select(lit(cnt) as a))
-      case AggFunc.Sum(_, a) =>
-        if (cnt == 0) emptyOut(spark, a, longTyped = false)
-        else ZSet.fromSet(spark.range(1).select(lit(sm) as a))
-      case AggFunc.Avg(_, a) =>
-        if (cnt == 0) emptyOut(spark, a, longTyped = false)
-        else ZSet.fromSet(spark.range(1).select(lit(sm / cnt) as a))
+  private val circuit: Op[ZSet, ZSet] = Op.fromFirst { first =>
+    val q: Op[ZSet, ZSet] = f match {
       case AggFunc.Min(c, a) =>
-        val i = integral.get.consolidate().df
-        val m = i.where(col(ZSet.W) > 0).agg(min(col(c)) as a)
-        ZSet.fromSet(m.where(col(a).isNotNull))
+        ZSetOps.integrate.andThen(Op.lift { i =>
+          val m = i.consolidate().df.where(col(ZSet.W) > 0).agg(min(col(c)) as a)
+          ZSet.fromSet(m.where(col(a).isNotNull))
+        })
+      case _ =>
+        Op.lift(countAndSum).andThen(Op.integrate[(Long, Double)]).andThen(Op.lift(makeset(first.spark)))
     }
-
-    val old = prevRow.getOrElse(ZSet.empty(spark, newRow.dataSchema))
-    val out = newRow.minus(old).consolidate()
-    prevRow = Some(newRow.compact())
-    out
+    q.andThen(ZSetOps.differentiate)
   }
 
-  private def emptyOut(spark: org.apache.spark.sql.SparkSession, a: String, longTyped: Boolean): ZSet = {
-    val df =
-      if (longTyped) spark.range(1).select(lit(0L) as a).where(lit(false))
-      else spark.range(1).select(lit(0.0) as a).where(lit(false))
-    ZSet.fromSet(df)
+  def step(d: ZSet): ZSet = circuit.step(d)
+
+  /** The linear part: (Σ w, Σ w·x) of one change. */
+  private def countAndSum(d: ZSet): (Long, Double) = {
+    val w = col(ZSet.W)
+    val x = f match {
+      case AggFunc.Sum(c, _) => col(c).cast("double")
+      case AggFunc.Avg(c, _) => col(c).cast("double")
+      case _                 => lit(0.0)
+    }
+    val r = d.df.agg(coalesce(sum(w), lit(0L)), coalesce(sum(x * w), lit(0.0))).head()
+    (r.getLong(0), r.getDouble(1))
+  }
+
+  /** The singleton view of an integrated (count, sum); empty when count is 0. */
+  private def makeset(spark: SparkSession)(acc: (Long, Double)): ZSet = {
+    val (cnt, sm) = acc
+    val v = f match {
+      case AggFunc.Count(_) => lit(cnt)
+      case AggFunc.Avg(_, _) => lit(sm / cnt)
+      case _                 => lit(sm)
+    }
+    ZSet.fromSet(spark.range(1).select(v as f.alias).where(lit(cnt != 0L)))
   }
 }

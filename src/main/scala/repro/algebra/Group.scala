@@ -42,6 +42,14 @@ object Group {
     def isZero(a: Int): Boolean = a == 0
   }
 
+  /** Doubles under addition (the SUM accumulator of §7.2). */
+  implicit val doubleGroup: Group[Double] = new Group[Double] {
+    val zero = 0.0
+    def plus(a: Double, b: Double): Double = a + b
+    def negate(a: Double): Double = -a
+    def isZero(a: Double): Boolean = a == 0.0
+  }
+
   /** Pairs of group values form a group (used e.g. for (SUM, COUNT) in AVG). */
   implicit def pairGroup[A, B](implicit ga: Group[A], gb: Group[B]): Group[(A, B)] =
     new Group[(A, B)] {

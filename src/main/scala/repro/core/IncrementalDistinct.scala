@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 
 import repro.circuit.Op
-import repro.zset.{Accumulator, ZSet}
+import repro.zset.{Trace, ZSet}
 
 /** The efficient incremental distinct of Proposition 4.7.
   *
@@ -14,58 +14,46 @@ import repro.zset.{Accumulator, ZSet}
   *                 0  otherwise
   * }}}
   * Only multiplicities of tuples present in the change `d` can flip sign, so
-  * the evaluation restricts the stored integral to d's support (a broadcast
-  * semi-join — the indexed-lookup analogue) before aggregating; the state is
-  * maintained append-only. Time O(|d|) per tick (plus the unavoidable state
-  * scan), space O(R) — exactly §4.5's accounting.
+  * the evaluation probes the stored integral with d's support before
+  * aggregating; the state is a [[Trace]]. Time O(|d|) per tick (plus the
+  * unavoidable state scan), space O(R) — exactly §4.5's accounting.
   */
 final class IncrementalDistinct extends Op[ZSet, ZSet] {
-  private var acc: Option[Accumulator] = None // z⁻¹(I(d))
-
-  def integralState: Option[ZSet] = acc.map(_.value)
+  private val i = new Trace // I(d)
 
   /** Bootstrap the stored integral with a pre-integrated relation (the bulk
     * tick's output is discarded). Must be called before the first `step`.
     */
-  def seed(initial: ZSet): Unit = {
-    require(acc.isEmpty, "seed after step")
-    acc = Some(Accumulator.of(initial.compact()))
-  }
+  def seed(initial: ZSet): Unit = i.seed(initial)
 
   def step(d: ZSet): ZSet = {
-    val a = acc.getOrElse {
-      val x = Accumulator.empty(d.spark, d.dataSchema); acc = Some(x); x
-    }
     val dc = d.compact()
-    val out = IncrementalDistinct.h(a.value, dc)
-    a.add(dc)
-    out
+    IncrementalDistinct.h(i.append(dc), dc)
   }
 }
 
 object IncrementalDistinct {
   /** The H function of Proposition 4.7, evaluated only on the support of `d`:
-    * the integral is first restricted to d's tuples (broadcast semi-join),
-    * then per-tuple old/new multiplicities decide the sign flips.
+    * the integral is first probed with d's tuples, then per-tuple old/new
+    * multiplicities decide the sign flips. A known-zero `d` gives a known
+    * zero.
     */
-  def h(i: ZSet, d: ZSet): ZSet = {
-    val W = ZSet.W
-    val dc = d.consolidate().df
-    val keys = d.dataCols
-    val iMatched = i.df
-      .join(broadcast(dc.select(keys.map(col): _*)), keys.toSeq, "left_semi")
-      .groupBy(keys.map(col): _*)
-      .agg(sum(W) as "__wi")
-    val joined = dc.join(broadcast(iMatched), keys.toSeq, "left_outer")
-    val old = coalesce(col("__wi"), lit(0L))
-    val nw  = old + col(W)
-    val hWeight = when(old > 0 && nw <= 0, -1L)
-      .when(old <= 0 && nw > 0, 1L)
-      .otherwise(0L)
-    ZSet.raw(
-      joined
-        .withColumn(W, hWeight)
-        .drop("__wi")
-        .where(col(W) =!= 0))
-  }
+  def h(i: ZSet, d: ZSet): ZSet =
+    if (d.isKnownZero) d
+    else {
+      val W = ZSet.W
+      val keys = d.dataCols
+      val iMatched = Trace.probe(i, d, keys).consolidate().df.withColumnRenamed(W, "__wi")
+      val joined = d.consolidate().df.join(broadcast(iMatched), keys, "left_outer")
+      val old = coalesce(col("__wi"), lit(0L))
+      val nw  = old + col(W)
+      val hWeight = when(old > 0 && nw <= 0, -1L)
+        .when(old <= 0 && nw > 0, 1L)
+        .otherwise(0L)
+      ZSet.raw(
+        joined
+          .withColumn(W, hWeight)
+          .drop("__wi")
+          .where(col(W) =!= 0))
+    }
 }

@@ -1,74 +1,40 @@
 package repro.core
 
 import repro.circuit.Op2
-import repro.zset.{Accumulator, ZSet}
+import repro.zset.{Trace, ZSet}
 
-/** The efficient incremental equi-join of Theorem 3.4.
-  *
-  * For a bilinear time-invariant operator ⋈:
+/** The efficient incremental form of a bilinear operator × (Theorem 3.4):
   * {{{
-  *   Δ(a ⋈ b) = Δa ⋈ Δb + z⁻¹(I(a)) ⋈ Δb + Δa ⋈ z⁻¹(I(b))
+  *   Δ(a × b) = Δa × Δb + z⁻¹(I(a)) × Δb + Δa × z⁻¹(I(b))
   * }}}
   * The two delayed integrals are the operator's state (space O(R), §4.5),
-  * maintained append-only so each tick costs O(C): the change is compacted,
-  * the state is not rewritten. Each delta-vs-state join broadcasts the
-  * change side — Spark's analogue of an indexed state lookup.
+  * kept in [[Trace]]s so each tick costs O(C): the change is compacted, the
+  * state is not rewritten. Each delta-vs-state product broadcasts the change
+  * side — Spark's analogue of an indexed state lookup.
   */
-final class IncrementalJoin(keys: Seq[String]) extends Op2[ZSet, ZSet, ZSet] {
-  private var accA: Option[Accumulator] = None // z⁻¹(I(a))
-  private var accB: Option[Accumulator] = None
-
-  /** Current accumulated left input I(a) — exposed for tests / benches. */
-  def integralA: Option[ZSet] = accA.map(_.value)
-  def integralB: Option[ZSet] = accB.map(_.value)
+sealed abstract class IncrementalBilinear(times: (ZSet, ZSet) => ZSet)
+    extends Op2[ZSet, ZSet, ZSet] {
+  private val ia = new Trace // I(a)
+  private val ib = new Trace // I(b)
 
   /** Bootstrap the operator's state with pre-integrated relations, as if the
     * stream had started with one bulk transaction whose output was discarded.
     * Must be called before the first `step`.
     */
-  def seed(a: ZSet, b: ZSet): Unit = {
-    require(accA.isEmpty && accB.isEmpty, "seed after step")
-    accA = Some(Accumulator.of(a.compact()))
-    accB = Some(Accumulator.of(b.compact()))
-  }
+  def seed(a: ZSet, b: ZSet): Unit = { ia.seed(a); ib.seed(b) }
 
   def step(da: ZSet, db: ZSet): ZSet = {
-    val ia = accA.getOrElse {
-      val a = Accumulator.empty(da.spark, da.dataSchema); accA = Some(a); a
-    }
-    val ib = accB.getOrElse {
-      val b = Accumulator.empty(db.spark, db.dataSchema); accB = Some(b); b
-    }
     val dac = da.compact()
     val dbc = db.compact()
-    val out = dac.broadcastHint.join(dbc, keys)
-      .plus(ia.value.join(dbc.broadcastHint, keys))
-      .plus(dac.broadcastHint.join(ib.value, keys))
-    ia.add(dac)
-    ib.add(dbc)
-    out
+    val (a, b) = (ia.append(dac), ib.append(dbc))
+    times(dac.broadcastHint, dbc)
+      .plus(times(a, dbc.broadcastHint))
+      .plus(times(dac.broadcastHint, b))
   }
 }
 
-/** Same bilinear expansion for the Cartesian product ×. */
-final class IncrementalCartesian extends Op2[ZSet, ZSet, ZSet] {
-  private var accA: Option[Accumulator] = None
-  private var accB: Option[Accumulator] = None
+/** The incremental equi-join ⋈ on the shared `keys` columns. */
+final class IncrementalJoin(keys: Seq[String]) extends IncrementalBilinear(_.join(_, keys))
 
-  def step(da: ZSet, db: ZSet): ZSet = {
-    val ia = accA.getOrElse {
-      val a = Accumulator.empty(da.spark, da.dataSchema); accA = Some(a); a
-    }
-    val ib = accB.getOrElse {
-      val b = Accumulator.empty(db.spark, db.dataSchema); accB = Some(b); b
-    }
-    val dac = da.compact()
-    val dbc = db.compact()
-    val out = dac.cartesian(dbc)
-      .plus(ia.value.cartesian(dbc.broadcastHint))
-      .plus(dac.broadcastHint.cartesian(ib.value))
-    ia.add(dac)
-    ib.add(dbc)
-    out
-  }
-}
+/** The incremental Cartesian product ×. */
+final class IncrementalCartesian extends IncrementalBilinear(_.cartesian(_))

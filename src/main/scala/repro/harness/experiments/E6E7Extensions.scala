@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 
 import repro.SynthData
 import repro.agg.{AggFunc, GroupAggregate, IncrementalGroupAggregate}
+import repro.core.ZSetOps
 import repro.harness.Report
 import repro.streaming.WindowIntegrate
 import repro.zset.ZSet
@@ -70,7 +71,7 @@ object E7Window {
 
   def run(spark: SparkSession, ticks: Int, rowsPerTick: Long, width: Double): Seq[Row] = {
     val w = new WindowIntegrate("ts", width)
-    var integral: Option[ZSet] = None
+    val integrate = ZSetOps.integrate
     (0 until ticks).map { t =>
       val theta = (t + 1).toDouble * 10
       val d = ZSet.fromBag(
@@ -78,10 +79,10 @@ object E7Window {
           .select((lit(theta - 10) + col("v") * 10) as "ts", col("k") as "v"))
         .compact()
       val (st, windowMs) = Report.timed { w.step(d, theta); w.stateSize }
-      integral = Some(integral.map(_.plus(d)).getOrElse(d).compact())
+      val integral = integrate.step(d)
       val (_, bruteMs) = Report.timed(
-        WindowIntegrate.bruteForce(integral.get, "ts", width, theta).entryCount)
-      Row(t, (t + 1) * rowsPerTick, st, integral.get.entryCount, windowMs, bruteMs)
+        WindowIntegrate.bruteForce(integral, "ts", width, theta).entryCount)
+      Row(t, (t + 1) * rowsPerTick, st, integral.entryCount, windowMs, bruteMs)
     }
   }
 

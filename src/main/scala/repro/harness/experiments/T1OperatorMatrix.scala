@@ -3,6 +3,7 @@ package repro.harness.experiments
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 
+import repro.core.ZSetOps
 import repro.harness.{Changes, Report}
 import repro.relational.Rel._
 import repro.relational.{Incrementalizer, Rel}
@@ -49,17 +50,17 @@ object T1OperatorMatrix {
       var ok = true
       var incTotal = 0.0
       var naiveTotal = 0.0
-      var view: Option[ZSet] = None
+      val view = ZSetOps.integrate
+      var viewRows = 0L
       for (t <- 0 until ticks) {
         val dmap = streams.map { case (n, s) => n -> s(t) }
         val (dInc, ms1) = Report.timed(inc.step(dmap).compact())
         val (dNaive, ms2) = Report.timed(naive.step(dmap))
         incTotal += ms1; naiveTotal += ms2
         if (!dInc.zequals(dNaive)) ok = false
-        view = Some(view.map(_.plus(dInc).compact()).getOrElse(dInc))
+        viewRows = view.step(dInc).entryCount
       }
-      Row(name, ticks, incTotal / ticks, naiveTotal / ticks,
-        view.map(_.entryCount).getOrElse(0L), ok)
+      Row(name, ticks, incTotal / ticks, naiveTotal / ticks, viewRows, ok)
     }
   }
 

@@ -5,7 +5,9 @@ import scala.collection.mutable
 import org.apache.spark.sql.functions._
 
 import repro.algebra.Group
-import repro.zset.ZSet
+import repro.circuit.Op
+import repro.nested.NestedOp.{inner, outer, pastSum}
+import repro.zset.{Trace, ZSet}
 
 /** The doubly-incremental bilinear operator `(↑(↑×)^Δ)^Δ` of §6, in the
   * simplified 4-term form (the paper notes the 3×3 expansion collapses to 4
@@ -20,12 +22,12 @@ import repro.zset.ZSet
 final class NestedIncrementalBilinear[A, B, C](times: (A, B) => C)(
     implicit ga: Group[A], gb: Group[B], gc: Group[C]) {
 
-  private val ioA   = new OuterIntegrate[A]          // Iₒ(a)
-  private val iiIoA = new InnerIntegrate[A]          // Iᵢ(Iₒ(a))
-  private val iiA   = new InnerIntegrate[A]          // Iᵢ(a)
-  private val ziB   = new InnerDelayedIntegrate[B]   // Zᵢ(b)
-  private val zoB   = new OuterDelayedIntegrate[B]   // Zₒ(b)
-  private val ziZoB = new InnerDelayedIntegrate[B]   // Zᵢ(Zₒ(b))
+  private val ioA   = outer(Op.integrate[A])   // Iₒ(a)
+  private val iiIoA = inner(Op.integrate[A])   // Iᵢ(Iₒ(a))
+  private val iiA   = inner(Op.integrate[A])   // Iᵢ(a)
+  private val ziB   = inner(pastSum[B])        // Zᵢ(b)
+  private val zoB   = outer(pastSum[B])        // Zₒ(b)
+  private val ziZoB = inner(pastSum[B])        // Zᵢ(Zₒ(b))
 
   def newOuterTick(): Unit = {
     ioA.newOuterTick(); iiIoA.newOuterTick(); iiA.newOuterTick()
@@ -51,10 +53,10 @@ final class NestedIncrementalBilinear[A, B, C](times: (A, B) => C)(
   */
 final class NestedIncrementalUnaryBrute[A, B](f: A => B)(
     implicit ga: Group[A], gb: Group[B]) {
-  private val io = new OuterIntegrate[A]
-  private val ii = new InnerIntegrate[A]
-  private val di = new InnerDifferentiate[B]
-  private val dd = new OuterDifferentiate[B]
+  private val io = outer(Op.integrate[A])
+  private val ii = inner(Op.integrate[A])
+  private val di = inner(Op.differentiate[B])
+  private val dd = outer(Op.differentiate[B])
 
   def newOuterTick(): Unit = {
     io.newOuterTick(); ii.newOuterTick(); di.newOuterTick(); dd.newOuterTick()
@@ -68,12 +70,12 @@ final class NestedIncrementalUnaryBrute[A, B](f: A => B)(
   */
 final class NestedIncrementalBinaryBrute[A, B, C](f: (A, B) => C)(
     implicit ga: Group[A], gb: Group[B], gc: Group[C]) {
-  private val ioA = new OuterIntegrate[A]
-  private val iiA = new InnerIntegrate[A]
-  private val ioB = new OuterIntegrate[B]
-  private val iiB = new InnerIntegrate[B]
-  private val di  = new InnerDifferentiate[C]
-  private val dd  = new OuterDifferentiate[C]
+  private val ioA = outer(Op.integrate[A])
+  private val iiA = inner(Op.integrate[A])
+  private val ioB = outer(Op.integrate[B])
+  private val iiB = inner(Op.integrate[B])
+  private val di  = inner(Op.differentiate[C])
+  private val dd  = outer(Op.differentiate[C])
 
   def newOuterTick(): Unit = {
     ioA.newOuterTick(); iiA.newOuterTick(); ioB.newOuterTick(); iiB.newOuterTick()
@@ -139,38 +141,39 @@ final class NestedIncrementalDistinct(implicit g: Group[ZSet]) {
 object NestedIncrementalDistinct {
   /** Evaluate the double difference of f over the four corners, restricted to
     * the union of the supports of e₁ and e₀ (c₁₁ = c₁₀+e₁, c₀₁ = c₀₀+e₀).
+    * Known-zero column deltas give a known zero.
     */
-  def doubleH(c10: ZSet, c00: ZSet, e1: ZSet, e0: ZSet): ZSet = {
-    val W = ZSet.W
-    val keys = e1.dataCols
-    // Candidate keys: anything either column delta touches, weight 1.
-    val cand = support(e1).plus(support(e0)).distinctZ.df.drop(W)
+  def doubleH(c10: ZSet, c00: ZSet, e1: ZSet, e0: ZSet): ZSet =
+    if (e1.isKnownZero && e0.isKnownZero) e1
+    else {
+      val W = ZSet.W
+      val keys = e1.dataCols
+      // Candidate keys: anything either column delta touches, weight 1.
+      val cand = support(e1).plus(support(e0)).distinctZ
 
-    // Restrict the big cumulative corners to the candidate keys first
-    // (broadcast semi-join ≈ indexed lookup), then aggregate the small rest.
-    def ren(z: ZSet, n: String) = {
-      val restricted = z.df.join(broadcast(cand), keys, "left_semi")
-      broadcast(ZSet.raw(restricted).consolidate().df.withColumnRenamed(W, n))
+      // Probe the big cumulative corners with the candidate keys first, then
+      // aggregate the small rest.
+      def ren(z: ZSet, n: String) =
+        broadcast(Trace.probe(z, cand, keys).consolidate().df.withColumnRenamed(W, n))
+      val joined = cand.df.drop(W)
+        .join(ren(c10, "__c10"), keys, "left_outer")
+        .join(ren(c00, "__c00"), keys, "left_outer")
+        .join(ren(e1, "__e1"), keys, "left_outer")
+        .join(ren(e0, "__e0"), keys, "left_outer")
+
+      val w10 = coalesce(col("__c10"), lit(0L))
+      val w00 = coalesce(col("__c00"), lit(0L))
+      val w11 = w10 + coalesce(col("__e1"), lit(0L))
+      val w01 = w00 + coalesce(col("__e0"), lit(0L))
+      def f(v: org.apache.spark.sql.Column) = when(v > 0, 1L).otherwise(0L)
+      val weight = (f(w11) - f(w10)) - (f(w01) - f(w00))
+
+      ZSet.raw(
+        joined
+          .withColumn(W, weight)
+          .drop("__c10", "__c00", "__e1", "__e0")
+          .where(col(W) =!= 0))
     }
-    val joined = cand
-      .join(ren(c10, "__c10"), keys, "left_outer")
-      .join(ren(c00, "__c00"), keys, "left_outer")
-      .join(ren(e1, "__e1"), keys, "left_outer")
-      .join(ren(e0, "__e0"), keys, "left_outer")
-
-    val w10 = coalesce(col("__c10"), lit(0L))
-    val w00 = coalesce(col("__c00"), lit(0L))
-    val w11 = w10 + coalesce(col("__e1"), lit(0L))
-    val w01 = w00 + coalesce(col("__e0"), lit(0L))
-    def f(v: org.apache.spark.sql.Column) = when(v > 0, 1L).otherwise(0L)
-    val weight = (f(w11) - f(w10)) - (f(w01) - f(w00))
-
-    ZSet.raw(
-      joined
-        .withColumn(W, weight)
-        .drop("__c10", "__c00", "__e1", "__e0")
-        .where(col(W) =!= 0))
-  }
 
   private def support(z: ZSet): ZSet =
     ZSet.raw(z.consolidate().df.withColumn(ZSet.W, lit(1L)))

@@ -3,30 +3,19 @@ package repro.nested
 import scala.collection.mutable
 
 import repro.algebra.Group
+import repro.circuit.Op
 
-/** Operators over nested streams S_{S_A} (§6, §A.1).
+/** An operator over nested streams S_{S_A} (§6, §A.1).
   *
   * Execution model: the driver advances outer time t₁ by calling
   * `newOuterTick()`, then feeds the inner stream one value per `step` call
   * (inner time t₂ = 0, 1, …). A nested stream is thus evaluated row by row
   * in the matrix picture of §A.1.
-  *
-  * Ragged rows: outer-clock operators may be asked for a position
-  * (t₁, t₂) whose previous rows were never evaluated that far. They treat the
-  * unevaluated tail as 0 — sound exactly when the inner streams are zero
-  * almost everywhere (Definition 5.1), which holds for every stream inside a
-  * δ₀…∫ bracket (loop deltas). Tests that evaluate non-zero-a.e. matrices
-  * (§A.1) use rectangular prefixes, where the question never arises.
   */
-abstract class NestedOp[A](implicit protected val g: Group[A]) {
-  protected var t2: Int = 0
-
+trait NestedOp[A] {
   /** Advance outer time; inner time restarts at 0. */
-  final def newOuterTick(): Unit = { onNewOuterTick(); t2 = 0 }
-  protected def onNewOuterTick(): Unit = ()
-
-  final def step(a: A): A = { val out = eval(a); t2 += 1; out }
-  protected def eval(a: A): A
+  def newOuterTick(): Unit
+  def step(a: A): A
 
   /** Evaluate on a matrix prefix (list of rows), resetting nothing —
     * convenience for tests; rows may be ragged only if tails are zero.
@@ -35,85 +24,45 @@ abstract class NestedOp[A](implicit protected val g: Group[A]) {
     rows.map { row => newOuterTick(); row.map(step) }
 }
 
-/** ↑z⁻¹ — delays columns: out[t₁][t₂] = in[t₁][t₂−1], 0 at t₂ = 0. */
-final class InnerDelay[A](implicit gg: Group[A]) extends NestedOp[A] {
-  private var prev: A = g.zero
-  override protected def onNewOuterTick(): Unit = prev = g.zero
-  protected def eval(a: A): A = { val out = prev; prev = g.compact(a); out }
-}
-
-/** ↑I — integrates along columns: out[t₁][t₂] = Σ_{i₂≤t₂} in[t₁][i₂]. */
-final class InnerIntegrate[A](implicit gg: Group[A]) extends NestedOp[A] {
-  private var acc: A = g.zero
-  override protected def onNewOuterTick(): Unit = acc = g.zero
-  protected def eval(a: A): A = { acc = g.compact(g.plus(acc, a)); acc }
-}
-
-/** ↑z⁻¹ ∘ ↑I — the inner "past sum": out[t₁][t₂] = Σ_{i₂<t₂} in[t₁][i₂]. */
-final class InnerDelayedIntegrate[A](implicit gg: Group[A]) extends NestedOp[A] {
-  private var acc: A = g.zero
-  override protected def onNewOuterTick(): Unit = acc = g.zero
-  protected def eval(a: A): A = { val out = acc; acc = g.compact(g.plus(acc, a)); out }
-}
-
-/** ↑D — differentiates along columns: out[t₁][t₂] = in[t₁][t₂] − in[t₁][t₂−1]. */
-final class InnerDifferentiate[A](implicit gg: Group[A]) extends NestedOp[A] {
-  private var prev: A = g.zero
-  override protected def onNewOuterTick(): Unit = prev = g.zero
-  protected def eval(a: A): A = { val out = g.minus(a, prev); prev = g.compact(a); out }
-}
-
-/** z⁻¹ on nested streams — delays rows: out[t₁][t₂] = in[t₁−1][t₂]. */
-final class OuterDelay[A](implicit gg: Group[A]) extends NestedOp[A] {
-  private var prevRow: IndexedSeq[A] = IndexedSeq.empty
-  private val curRow = mutable.ArrayBuffer.empty[A]
-  override protected def onNewOuterTick(): Unit = {
-    prevRow = curRow.toIndexedSeq; curRow.clear()
-  }
-  protected def eval(a: A): A = {
-    curRow += g.compact(a)
-    if (t2 < prevRow.size) prevRow(t2) else g.zero
-  }
-}
-
-/** I on nested streams — integrates rows: out[t₁][t₂] = Σ_{i₁≤t₁} in[i₁][t₂].
-  * State persists across outer ticks, one accumulator per inner index.
+/** The two ways to run a stream operator on nested streams: along the rows
+  * (inner time) or along the columns (outer time). With `Op.delay`,
+  * `Op.integrate` and `Op.differentiate` they give ↑z⁻¹, ↑I, ↑D and z⁻¹, I, D
+  * of §A.1; with `Op.lift(f)` either one is ↑↑f.
   */
-final class OuterIntegrate[A](implicit gg: Group[A]) extends NestedOp[A] {
-  private val acc = mutable.ArrayBuffer.empty[A]
-  protected def eval(a: A): A = {
-    if (t2 < acc.size) acc(t2) = g.compact(g.plus(acc(t2), a))
-    else acc += g.compact(a)
-    acc(t2)
-  }
-}
+object NestedOp {
 
-/** z⁻¹ ∘ I at the outer level: out[t₁][t₂] = Σ_{i₁<t₁} in[i₁][t₂]. */
-final class OuterDelayedIntegrate[A](implicit gg: Group[A]) extends NestedOp[A] {
-  private val acc = mutable.ArrayBuffer.empty[A]
-  protected def eval(a: A): A = {
-    val out = if (t2 < acc.size) acc(t2) else g.zero
-    if (t2 < acc.size) acc(t2) = g.compact(g.plus(acc(t2), a))
-    else acc += g.compact(a)
-    out
+  /** ↑op, the paper's lifting: a fresh `mk` on every outer tick, run over
+    * that tick's inner stream.
+    */
+  def inner[A](mk: => Op[A, A]): NestedOp[A] = new NestedOp[A] {
+    private var op = mk
+    def newOuterTick(): Unit = op = mk
+    def step(a: A): A = op.step(a)
   }
-}
 
-/** D on nested streams — differentiates rows: out[t₁][t₂] = in[t₁][t₂] − in[t₁−1][t₂]. */
-final class OuterDifferentiate[A](implicit gg: Group[A]) extends NestedOp[A] {
-  private var prevRow: IndexedSeq[A] = IndexedSeq.empty
-  private val curRow = mutable.ArrayBuffer.empty[A]
-  override protected def onNewOuterTick(): Unit = {
-    prevRow = curRow.toIndexedSeq; curRow.clear()
+  /** `mk` in outer time: one instance per inner index t₂, stepped once per
+    * outer tick.
+    *
+    * Ragged rows: a row may stop before an index that earlier rows reached.
+    * The unevaluated tail counts as 0, so on the next outer tick every index
+    * the previous row never reached is stepped with `g.zero` — sound exactly
+    * when the inner streams are zero almost everywhere (Definition 5.1),
+    * which holds for every stream inside a δ₀…∫ bracket (loop deltas).
+    */
+  def outer[A](mk: => Op[A, A])(implicit g: Group[A]): NestedOp[A] = new NestedOp[A] {
+    private val ops = mutable.ArrayBuffer.empty[Op[A, A]]
+    private var t2 = 0
+    def newOuterTick(): Unit = { ops.drop(t2).foreach(_.step(g.zero)); t2 = 0 }
+    def step(a: A): A = {
+      if (t2 == ops.size) ops += mk
+      val out = ops(t2).step(a)
+      t2 += 1
+      out
+    }
   }
-  protected def eval(a: A): A = {
-    curRow += g.compact(a)
-    val prev = if (t2 < prevRow.size) prevRow(t2) else g.zero
-    g.minus(a, prev)
-  }
-}
 
-/** Lift a scalar function to nested streams (↑↑f). Stateless. */
-final class NestedLift[A](f: A => A)(implicit gg: Group[A]) extends NestedOp[A] {
-  protected def eval(a: A): A = f(a)
+  /** z⁻¹ ∘ I, the "past sum" Σ_{i<t} in[i] that the nested bilinear operator
+    * pairs with each change.
+    */
+  def pastSum[A](implicit g: Group[A]): Op[A, A] = Op.integrate[A].andThen(Op.delay[A])
 }

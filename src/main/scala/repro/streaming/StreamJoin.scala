@@ -1,7 +1,7 @@
 package repro.streaming
 
 import repro.circuit.Op2
-import repro.zset.ZSet
+import repro.zset.{Trace, ZSet}
 
 /** The relation-to-stream join of §7.6: `T(s, t) = I(s) ↑⋈ t`.
   *
@@ -10,16 +10,10 @@ import repro.zset.ZSet
   * relation and then discarded — `t` is never stored.
   */
 final class StreamRelationJoin(keys: Seq[String]) extends Op2[ZSet, ZSet, ZSet] {
-  private var rel: Option[repro.zset.Accumulator] = None
-
-  /** Current accumulated relation I(s) — exposed for tests. */
-  def relation: Option[ZSet] = rel.map(_.value)
+  private val rel = new Trace // I(s)
 
   def step(ds: ZSet, batch: ZSet): ZSet = {
-    val acc = rel.getOrElse {
-      val a = repro.zset.Accumulator.empty(ds.spark, ds.dataSchema); rel = Some(a); a
-    }
-    acc.add(ds.compact())
-    acc.value.join(batch, keys)
+    rel.append(ds.compact())
+    rel.value.join(batch, keys)
   }
 }

@@ -44,7 +44,8 @@ final class ZSet private (val df: DataFrame, private val knownCount: Option[Long
   /** Schema of the data columns only. */
   def dataSchema: StructType = StructType(df.schema.fields.filterNot(_.name == W))
 
-  private def isKnownZero: Boolean = knownCount.contains(0L)
+  /** Known to be the zero Z-set without running a Spark job. */
+  private[repro] def isKnownZero: Boolean = knownCount.contains(0L)
 
   /** The result of a unary operator that maps zero to zero. */
   private def keepZero(out: DataFrame): ZSet =
@@ -239,10 +240,13 @@ object ZSet {
   def fromWeighted(df: DataFrame, weightCol: String): ZSet =
     raw(df.withColumn(W, col(weightCol).cast(LongType)).drop(weightCol))
 
-  /** The empty Z-set with the given data schema. */
+  /** The empty Z-set with the given data schema. It is an empty local
+    * relation: Spark's optimizer folds it out of joins, unions and
+    * aggregates, and scanning it runs no job.
+    */
   def empty(spark: SparkSession, schema: StructType): ZSet = {
     val full = StructType(schema.fields :+ StructField(W, LongType, nullable = false))
-    new ZSet(spark.createDataFrame(spark.sparkContext.emptyRDD[org.apache.spark.sql.Row], full),
+    new ZSet(spark.createDataFrame(java.util.Collections.emptyList[org.apache.spark.sql.Row](), full),
       Some(0L))
   }
 

@@ -8,7 +8,7 @@ import org.apache.spark.sql.types._
 
 import repro.agg.{AggFunc, IncrementalGroupAggregate}
 import repro.core.{IncrementalDistinct, IncrementalJoin}
-import repro.nested.IncrementalTransitiveClosure
+import repro.nested.{IncrementalTransitiveClosure, NestedIncrementalDistinct}
 import repro.zset.ZSet
 
 /** Spark-job budgets: work on empty and already-consolidated Z-sets launches
@@ -96,6 +96,19 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     assert(jobs == 0)
   }
 
+  test("an empty IncrementalDistinct step and doubleH over zero column deltas launch no job") {
+    val k = StructType(Seq(StructField("k", LongType)))
+    val op = new IncrementalDistinct
+    op.step(zs1("k", 1L -> 1L, 2L -> 2L))
+    val corner = zs1("k", 1L -> 1L, 3L -> 1L)
+    val (_, jobs) = jobsOf {
+      assert(op.step(ZSet.empty(spark, k)).isEmpty)
+      val zero = ZSet.empty(spark, k)
+      assert(NestedIncrementalDistinct.doubleH(corner, corner, zero, zero).isEmpty)
+    }
+    assert(jobs == 0)
+  }
+
   test("physicalCount stays a real Spark count") {
     val c = zs1("k", 1L -> 1L, 2L -> 1L).compact()
     val (n, jobs) = jobsOf(c.physicalCount)
@@ -160,13 +173,15 @@ object MetricsBudgetSpec {
   private val TcDeleteCeiling = 39
 
   // Small-delta tick / all-empty tick, same setting: join 8 / 0, distinct
-  // 7 / 1, grouped SUM 11 / 3, grouped MIN 11 / 1.
+  // 7 / 0, grouped SUM 9 / 0, grouped MIN 8 / 0. When first set (state kept
+  // in `Accumulator`s and raw DataFrames) they were 8 / 0, 7 / 1, 11 / 3 and
+  // 11 / 1.
   private val JoinSmallCeiling = 8
   private val JoinEmptyCeiling = 0
   private val DistinctSmallCeiling = 7
-  private val DistinctEmptyCeiling = 1
-  private val SumSmallCeiling = 11
-  private val SumEmptyCeiling = 3
-  private val MinSmallCeiling = 11
-  private val MinEmptyCeiling = 1
+  private val DistinctEmptyCeiling = 0
+  private val SumSmallCeiling = 9
+  private val SumEmptyCeiling = 0
+  private val MinSmallCeiling = 8
+  private val MinEmptyCeiling = 0
 }

@@ -115,6 +115,32 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
     checkIncremental(AggFunc.Min("v"), deltas)
   }
 
+  test("grouped SUM and MIN over 18 ticks: groups empty and return, across a consolidation") {
+    // Group 2 empties at ticks 1 and 10 and returns at ticks 5 and 16; the
+    // 16th tick (index 15) consolidates the operators' state.
+    val deltas = Seq(
+      kv((1L, 10L) -> 1L, (2L, 5L) -> 1L, (3L, 7L) -> 1L),
+      kv((2L, 5L) -> -1L),
+      kv((1L, 4L) -> 1L),
+      kv((3L, 9L) -> 1L),
+      kv((1L, 4L) -> -1L),
+      kv((2L, 8L) -> 1L),
+      kv((3L, 7L) -> -1L),
+      kv((1L, 20L) -> 1L),
+      kv((2L, 8L) -> -1L, (2L, 3L) -> 1L),
+      kv((3L, 1L) -> 1L),
+      kv((2L, 3L) -> -1L),
+      kv((1L, 10L) -> -1L),
+      kv((3L, 9L) -> -1L),
+      kv((1L, 6L) -> 1L),
+      kv((3L, 2L) -> 1L),
+      kv((1L, 20L) -> -1L),
+      kv((2L, 11L) -> 1L),
+      kv((1L, 6L) -> -1L, (2L, 12L) -> 1L))
+    checkIncremental(AggFunc.Sum("v"), deltas)
+    checkIncremental(AggFunc.Min("v"), deltas)
+  }
+
   test("untouched groups emit no output (§7.4: only changed groupings re-evaluated)") {
     val inc = new IncrementalGroupAggregate(Seq("k"), AggFunc.Count())
     inc.step(kv((1L, 1L) -> 1L, (2L, 1L) -> 1L, (3L, 1L) -> 1L))

@@ -1,10 +1,10 @@
 package repro.harness
 
-import repro.zset.{Accumulator, ZSet}
+import repro.zset.{Trace, ZSet}
 import repro.{SparkSpec, SynthGraph, ZSetFixtures}
 
 /** The experiment substrate itself: change-stream generator, append-only
-  * accumulator, graph generators, report rendering.
+  * trace, graph generators, report rendering.
   */
 class HarnessSpec extends SparkSpec with ZSetFixtures {
 
@@ -42,18 +42,20 @@ class HarnessSpec extends SparkSpec with ZSetFixtures {
     }
   }
 
-  test("Accumulator integrates like repeated plus") {
-    val acc = Accumulator.empty(spark, zs1("k", 1L -> 1L).dataSchema, consolidateEvery = 2)
-    val deltas = Seq(zs1("k", 1L -> 1L), zs1("k", 2L -> 1L), zs1("k", 1L -> -1L))
-    deltas.foreach(d => acc.add(d.compact()))
-    assert(acc.value.zequals(zs1("k", 2L -> 1L)))
+  test("Trace integrates like repeated plus") {
+    // 17 appends: the 16th consolidates the chunks.
+    val trace = new Trace
+    val deltas = (1L to 16L).map(k => zs1("k", k -> 1L)) :+ zs1("k", 1L -> -1L, 17L -> 2L)
+    val before = deltas.map(d => trace.append(d.compact())).last
+    assert(trace.value.zequals(deltas.reduce(_ plus _)))
+    assert(before.zequals(deltas.init.reduce(_ plus _)))
   }
 
-  test("Accumulator consolidation does not change the value") {
-    val acc = Accumulator.empty(spark, zs1("k", 1L -> 1L).dataSchema, consolidateEvery = 1)
-    acc.add(zs1("k", 5L -> 3L).compact())
-    acc.add(zs1("k", 5L -> -3L).compact())
-    assert(acc.value.isEmpty)
+  test("Trace consolidation does not change the value") {
+    // 18 appends that cancel in pairs, across the consolidation at the 16th.
+    val trace = new Trace
+    (1 to 18).foreach(i => trace.append(zs1("k", 5L -> (if (i % 2 == 1) 3L else -3L)).compact()))
+    assert(trace.value.isEmpty)
   }
 
   test("SynthGraph.chain has n−1 edges and no cycles") {
