@@ -2,6 +2,7 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types._
 import scala.jdk.CollectionConverters._
 
 import repro.zset.ZSet
@@ -16,6 +17,11 @@ import repro.zset.ZSet
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
   * to scalar columns — array/map/struct are not comparable here.
+  *
+  * Each table is created with the DuckDB types of its Spark columns and its
+  * values are bound as the typed objects Spark returns, so SQL compares,
+  * orders and aggregates them as numbers, dates or strings, as Spark does.
+  * A column type with no DuckDB counterpart here throws.
   */
 object Oracle {
 
@@ -24,21 +30,33 @@ object Oracle {
     rows.map(r => idx.map(i => ZSet.canonValue(r.get(i)))).sorted(ZSet.canonOrder)
   }
 
+  /** The DuckDB type of a Spark column type. */
+  private def duckType(t: DataType): String = t match {
+    case LongType       => "BIGINT"
+    case IntegerType    => "INTEGER"
+    case DoubleType     => "DOUBLE"
+    case StringType     => "VARCHAR"
+    case BooleanType    => "BOOLEAN"
+    case DateType       => "DATE"
+    case d: DecimalType => s"DECIMAL(${d.precision}, ${d.scale})"
+    case other          => throw new IllegalArgumentException(s"Oracle: no DuckDB type for $other")
+  }
+
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
+        val cols = df.schema.fields
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
+          s"CREATE TABLE $name (${cols.map(c => s"${c.name} ${duckType(c.dataType)}").mkString(", ")})"
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
         val ps = conn.prepareStatement(
           s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
         )
         df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
+          cols.indices.foreach(i => ps.setObject(i + 1, r.get(i)))
           ps.addBatch()
         }
         ps.executeBatch(); ps.close()

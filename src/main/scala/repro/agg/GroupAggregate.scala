@@ -1,10 +1,9 @@
 package repro.agg
 
-import org.apache.spark.sql.{Column, SparkSession}
+import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 
 import repro.circuit.Op
-import repro.core.ZSetOps
 import repro.zset.{Trace, ZSet}
 
 /** Aggregation functions over Z-sets (§7.2). COUNT and SUM are *linear*
@@ -52,7 +51,9 @@ object GroupAggregate {
 
   /** Batch reference: `SELECT keys, f FROM z GROUP BY keys` as a Z-set view
     * (weight 1 per group; empty groups absent). Requires positive input for
-    * MIN (set/bag semantics), like SQL.
+    * MIN (set/bag semantics), like SQL. `keys = Nil` is the global aggregate,
+    * `GROUP BY ()`: over an empty input its one row has a NULL count and is
+    * dropped, so the view is empty.
     */
   def batch(z: ZSet, keys: Seq[String], f: AggFunc): ZSet = {
     val c = z.consolidate().df
@@ -76,11 +77,13 @@ object GroupAggregate {
   * minima are recomputed from it — the paper's brute-force fallback. Either
   * way the old output rows are rendered from the state probed by the touched
   * keys, so no copy of the view is kept.
+  *
+  * A global aggregate (§7.2) is the grouping by the empty key, `keys = Nil`:
+  * every non-zero change touches the one group, and the probe returns the
+  * whole state.
   */
 final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
     extends Op[ZSet, ZSet] {
-  require(keys.nonEmpty, "use IncrementalScalarAggregate for global aggregates")
-
   private val W = ZSet.W
   private val state = new Trace
 
@@ -122,51 +125,5 @@ final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
       .groupBy(keys.map(col): _*).agg(accs.head, accs.tail: _*)
       .where(col("__cnt") =!= 0)
       .withColumn(W, lit(1L)))
-  }
-}
-
-/** Global (non-grouped) aggregates (§7.2) as circuits of stream operators.
-  * Linear aggregates integrate the per-tick (count, sum) pair — O(|change|)
-  * per tick — then `makeset` renders the singleton Z-set and D turns it into
-  * the retract/assert pair. MIN is the brute-force D ∘ ↑min ∘ I over the
-  * input integral.
-  */
-final class IncrementalScalarAggregate(f: AggFunc) extends Op[ZSet, ZSet] {
-  private val circuit: Op[ZSet, ZSet] = Op.fromFirst { first =>
-    val q: Op[ZSet, ZSet] = f match {
-      case AggFunc.Min(c, a) =>
-        ZSetOps.integrate.andThen(Op.lift { i =>
-          val m = i.consolidate().df.where(col(ZSet.W) > 0).agg(min(col(c)) as a)
-          ZSet.fromSet(m.where(col(a).isNotNull))
-        })
-      case _ =>
-        Op.lift(countAndSum).andThen(Op.integrate[(Long, Double)]).andThen(Op.lift(makeset(first.spark)))
-    }
-    q.andThen(ZSetOps.differentiate)
-  }
-
-  def step(d: ZSet): ZSet = circuit.step(d)
-
-  /** The linear part: (Σ w, Σ w·x) of one change. */
-  private def countAndSum(d: ZSet): (Long, Double) = {
-    val w = col(ZSet.W)
-    val x = f match {
-      case AggFunc.Sum(c, _) => col(c).cast("double")
-      case AggFunc.Avg(c, _) => col(c).cast("double")
-      case _                 => lit(0.0)
-    }
-    val r = d.df.agg(coalesce(sum(w), lit(0L)), coalesce(sum(x * w), lit(0.0))).head()
-    (r.getLong(0), r.getDouble(1))
-  }
-
-  /** The singleton view of an integrated (count, sum); empty when count is 0. */
-  private def makeset(spark: SparkSession)(acc: (Long, Double)): ZSet = {
-    val (cnt, sm) = acc
-    val v = f match {
-      case AggFunc.Count(_) => lit(cnt)
-      case AggFunc.Avg(_, _) => lit(sm / cnt)
-      case _                 => lit(sm)
-    }
-    ZSet.fromSet(spark.range(1).select(v as f.alias).where(lit(cnt != 0L)))
   }
 }

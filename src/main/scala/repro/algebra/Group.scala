@@ -42,23 +42,6 @@ object Group {
     def isZero(a: Int): Boolean = a == 0
   }
 
-  /** Doubles under addition (the SUM accumulator of §7.2). */
-  implicit val doubleGroup: Group[Double] = new Group[Double] {
-    val zero = 0.0
-    def plus(a: Double, b: Double): Double = a + b
-    def negate(a: Double): Double = -a
-    def isZero(a: Double): Boolean = a == 0.0
-  }
-
-  /** Pairs of group values form a group (used e.g. for (SUM, COUNT) in AVG). */
-  implicit def pairGroup[A, B](implicit ga: Group[A], gb: Group[B]): Group[(A, B)] =
-    new Group[(A, B)] {
-      val zero: (A, B) = (ga.zero, gb.zero)
-      def plus(x: (A, B), y: (A, B)): (A, B) = (ga.plus(x._1, y._1), gb.plus(x._2, y._2))
-      def negate(x: (A, B)): (A, B) = (ga.negate(x._1), gb.negate(x._2))
-      def isZero(x: (A, B)): Boolean = ga.isZero(x._1) && gb.isZero(x._2)
-    }
-
   /** Finite maps with group values, absent key = zero — an in-memory Z-set.
     * Used for fast property tests of the stream calculus without Spark.
     */

@@ -21,11 +21,6 @@ import repro.zset.{Trace, ZSet}
 final class IncrementalDistinct extends Op[ZSet, ZSet] {
   private val i = new Trace // I(d)
 
-  /** Bootstrap the stored integral with a pre-integrated relation (the bulk
-    * tick's output is discarded). Must be called before the first `step`.
-    */
-  def seed(initial: ZSet): Unit = i.seed(initial)
-
   def step(d: ZSet): ZSet = {
     val dc = d.compact()
     IncrementalDistinct.h(i.append(dc), dc)

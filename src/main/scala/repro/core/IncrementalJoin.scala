@@ -17,12 +17,6 @@ sealed abstract class IncrementalBilinear(times: (ZSet, ZSet) => ZSet)
   private val ia = new Trace // I(a)
   private val ib = new Trace // I(b)
 
-  /** Bootstrap the operator's state with pre-integrated relations, as if the
-    * stream had started with one bulk transaction whose output was discarded.
-    * Must be called before the first `step`.
-    */
-  def seed(a: ZSet, b: ZSet): Unit = { ia.seed(a); ib.seed(b) }
-
   def step(da: ZSet, db: ZSet): ZSet = {
     val dac = da.compact()
     val dbc = db.compact()

@@ -42,7 +42,7 @@ object T1OperatorMatrix {
     val inputs = Map("ta" -> ta, "tb" -> tb, "tc" -> tc)
 
     operators.map { case (name, q) =>
-      val needed = q.inputsOf
+      val needed = Incrementalizer.circuitOf(q).inputs
       val streams = needed.map(n => n -> Changes.stream(inputs(n), ticks,
         initialFrac = 0.7, deleteFrac = 0.15, seed = n.hashCode.toLong)).toMap
       val inc = Incrementalizer.incremental(q)
@@ -74,20 +74,4 @@ object T1OperatorMatrix {
 
   def emit(rows: Seq[Row]): Unit =
     Report.emit("T1 — Table 1 operator matrix (incremental vs naïve lifted)", headers, render(rows))
-
-  implicit private class RelInputs(q: Rel) {
-    def inputsOf: Set[String] = q match {
-      case Table(n)          => Set(n)
-      case Select(in, _)     => in.inputsOf
-      case Project(in, _)    => in.inputsOf
-      case Distinct(in)      => in.inputsOf
-      case Union(a, b)       => a.inputsOf ++ b.inputsOf
-      case UnionAll(a, b)    => a.inputsOf ++ b.inputsOf
-      case Intersect(a, b)   => a.inputsOf ++ b.inputsOf
-      case Except(a, b)      => a.inputsOf ++ b.inputsOf
-      case Cross(a, b)       => a.inputsOf ++ b.inputsOf
-      case Join(a, b, _)     => a.inputsOf ++ b.inputsOf
-      case AntiJoin(a, b, _) => a.inputsOf ++ b.inputsOf
-    }
-  }
 }

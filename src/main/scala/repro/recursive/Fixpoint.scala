@@ -24,34 +24,36 @@ object Fixpoint {
 
   val DefaultMaxIter = 10000
 
+  /** The one `x ← Q(x)` loop: from `x0`, apply `q` until `x` stops
+    * changing and return the reached fixpoint. `q` need not be monotone, so
+    * termination is not guaranteed; `maxIter` applications of `q` without a
+    * fixpoint throw. The work of an iteration is the size of `Q(x)`.
+    */
+  def iterate(x0: ZSet, q: ZSet => ZSet, maxIter: Int = DefaultMaxIter): (ZSet, FixpointStats) = {
+    val work = mutable.Buffer.empty[Long]
+    var x = x0.compact()
+    var done = false
+    while (!done) {
+      require(work.size < maxIter, s"iterate: no fixpoint after $maxIter iterations")
+      val next = q(x).compact()
+      work += next.entryCount
+      done = next.minus(x).isEmpty
+      x = next
+    }
+    (x, FixpointStats(work.size, work.toSeq))
+  }
+
   /** Naïve evaluation (the circuit of Theorem 5.4, Algorithm 1 of [11]):
-    * iterate `x ← S(x)` with `S(x) = distinct(body(I…, x))` until `x` stops
-    * changing. Each iteration re-derives *all* facts.
+    * [[iterate]] `x ← S(x)` with `S(x) = distinct(body(I…, x))` from the
+    * empty relation. Each iteration re-derives *all* facts.
     */
   def naive(
       body: ZExpr,
       inputs: Map[String, ZSet],
       recEmpty: ZSet,
       recName: String = "R",
-      maxIter: Int = DefaultMaxIter): (ZSet, FixpointStats) = {
-    val work = mutable.Buffer.empty[Long]
-    var x = recEmpty
-    var iter = 0
-    var done = false
-    while (!done) {
-      require(iter < maxIter, s"naive: no fixpoint after $maxIter iterations")
-      val next = BatchEval
-        .eval(body, inputs + (recName -> x))
-        .distinctZ
-        .compact()
-      val size = next.entryCount
-      work += size
-      done = next.minus(x).isEmpty
-      x = next
-      iter += 1
-    }
-    (x, FixpointStats(iter, work.toSeq))
-  }
+      maxIter: Int = DefaultMaxIter): (ZSet, FixpointStats) =
+    iterate(recEmpty, x => BatchEval.eval(body, inputs + (recName -> x)).distinctZ, maxIter)
 
   /** Semi-naïve evaluation (circuit 5.1, Algorithm 2 of [11]): the loop body
     * is the *incrementalized* circuit `(↑distinct ∘ ↑body)^Δ` run by

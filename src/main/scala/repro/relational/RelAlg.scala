@@ -93,7 +93,7 @@ object Table1 {
     // UNION ALL is plain Z-set addition (§7.1).
     case UnionAll(a, b)     => ZSum(translate(a), translate(b))
     // a ∩ b: join on every column; weights multiply (1·1 = 1 on sets).
-    case Intersect(a, b)    => ZDistinct(joinOnAll(translate(a), translate(b), q))
+    case Intersect(a, b)    => ZDistinct(joinOnAll(translate(a), translate(b)))
     // a \ b = distinct(a − b): negative weights "remove" elements.
     case Except(a, b)       => ZDistinct(ZSum(translate(a), ZNeg(translate(b))))
     case Cross(a, b)        => ZCross(translate(a), translate(b))
@@ -112,5 +112,5 @@ object Table1 {
     * evaluation time; encode as a ZJoin with an empty key list resolved by
     * the evaluator to "all shared columns".
     */
-  private def joinOnAll(a: ZExpr, b: ZExpr, q: Rel): ZExpr = ZJoin(a, b, Nil)
+  private def joinOnAll(a: ZExpr, b: ZExpr): ZExpr = ZJoin(a, b, Nil)
 }

@@ -2,6 +2,7 @@ package repro.whileq
 
 import repro.circuit.Op
 import repro.core.ZSetOps
+import repro.recursive.Fixpoint
 import repro.zset.ZSet
 
 /** Relational while-queries (§7.7):
@@ -14,19 +15,9 @@ import repro.zset.ZSet
   */
 object WhileQueries {
 
-  /** Batch evaluation of the while loop. */
-  def whileFix(i: ZSet, q: ZSet => ZSet, maxIter: Int = 10000): ZSet = {
-    var x = i.compact()
-    var iter = 0
-    while (true) {
-      require(iter < maxIter, s"whileFix: no fixpoint after $maxIter iterations")
-      val next = q(x).compact()
-      if (next.minus(x).isEmpty) return x
-      x = next
-      iter += 1
-    }
-    x
-  }
+  /** Batch evaluation of the while loop: [[Fixpoint.iterate]] from `i`. */
+  def whileFix(i: ZSet, q: ZSet => ZSet, maxIter: Int = Fixpoint.DefaultMaxIter): ZSet =
+    Fixpoint.iterate(i, q, maxIter)._1
 
   /** The lifted, incrementalized while-query (Algorithm 4.8 applied to the
     * whole loop, step 4 — the generic D ∘ ↑whileFix ∘ I form). Because Q is
@@ -34,7 +25,7 @@ object WhileQueries {
     * not apply; this is the paper's always-correct fallback: consume changes
     * of i, produce changes of the fixpoint.
     */
-  final class IncrementalWhile(q: ZSet => ZSet, maxIter: Int = 10000)
+  final class IncrementalWhile(q: ZSet => ZSet, maxIter: Int = Fixpoint.DefaultMaxIter)
       extends Op[ZSet, ZSet] {
     private val circuit =
       ZSetOps.integrate.andThen(Op.lift(whileFix(_: ZSet, q, maxIter))).andThen(ZSetOps.differentiate)

@@ -11,8 +11,9 @@ import org.apache.spark.sql.functions.{broadcast, col}
   * for stateful operators (§4.5): O(C) time per tick, O(R) space. The value
   * may be unconsolidated; every Z-set operator is indifferent to that.
   *
-  * A trace takes its schema from the first Z-set it is given (seeded,
-  * appended or probed by); until then it is the zero of that schema.
+  * A trace takes its schema from the first Z-set it is given (appended or
+  * probed by); until then it is the zero of that schema. A bulk load is just
+  * the first append (§4.5: the stream's first transaction).
   */
 final class Trace {
   private var state: ZSet = _
@@ -21,14 +22,6 @@ final class Trace {
   private def valueLike(z: ZSet): ZSet = {
     if (state == null) state = ZSet.empty(z.spark, z.dataSchema)
     state
-  }
-
-  /** Start from a pre-integrated value, as if the stream had begun with one
-    * bulk transaction. Must come before anything else.
-    */
-  def seed(initial: ZSet): Unit = {
-    require(state == null, "seed after step")
-    state = initial.compact()
   }
 
   /** Add a delta as given (callers pass compacted ones) and return the value

@@ -11,8 +11,9 @@ import repro.core.{IncrementalDistinct, IncrementalJoin}
 import repro.nested.{IncrementalTransitiveClosure, NestedIncrementalDistinct}
 import repro.zset.ZSet
 
-/** Spark-job budgets: work on empty and already-consolidated Z-sets launches
-  * no job, and a single-edge update of the incremental transitive closure,
+/** Spark-job budgets: work on empty and already-consolidated Z-sets, and a
+  * bulk load of compacted inputs through `step`, launch no job; a
+  * single-edge update of the incremental transitive closure,
   * as well as a small-delta tick and an all-empty tick of the stateful
   * relational operators, stay under ceilings. Ceilings are the counts
   * measured when they were set; they may only ever be lowered.
@@ -145,17 +146,31 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
   }
 
   test("a small-delta and an all-empty tick of grouped SUM and MIN stay under their job ceilings") {
-    def ticks(name: String, f: AggFunc) = {
-      val op = new IncrementalGroupAggregate(Seq("k"), f)
+    def ticks(name: String, keys: Seq[String], f: AggFunc) = {
+      val op = new IncrementalGroupAggregate(keys, f)
       tickJobs(name)(
         op.step(bulk("v")),
         op.step(zs2("k", "v", (3L, 1000L) -> 1L, (4L, 4L) -> -1L)),
         op.step(ZSet.empty(spark, kv)))
     }
-    val (sumSmall, sumEmpty) = ticks("SUM", AggFunc.Sum("v"))
-    val (minSmall, minEmpty) = ticks("MIN", AggFunc.Min("v"))
+    val (sumSmall, sumEmpty) = ticks("SUM", Seq("k"), AggFunc.Sum("v"))
+    val (minSmall, minEmpty) = ticks("MIN", Seq("k"), AggFunc.Min("v"))
+    val (gSumSmall, gSumEmpty) = ticks("global SUM", Nil, AggFunc.Sum("v"))
+    val (gMinSmall, gMinEmpty) = ticks("global MIN", Nil, AggFunc.Min("v"))
     assert(sumSmall <= SumSmallCeiling && sumEmpty <= SumEmptyCeiling)
     assert(minSmall <= MinSmallCeiling && minEmpty <= MinEmptyCeiling)
+    assert(gSumSmall <= GlobalSumSmallCeiling && gSumEmpty == 0)
+    assert(gMinSmall <= GlobalMinSmallCeiling && gMinEmpty == 0)
+  }
+
+  test("bulk-loading IncrementalJoin and IncrementalDistinct through step launches no job") {
+    val (a, b) = (bulk("v").compact(), bulk("vb").compact())
+    val d = bulk("v").project("k").compact()
+    val (_, jobs) = jobsOf {
+      new IncrementalJoin(Seq("k")).step(a, b)
+      new IncrementalDistinct().step(d)
+    }
+    assert(jobs == 0)
   }
 }
 
@@ -184,4 +199,7 @@ object MetricsBudgetSpec {
   private val SumEmptyCeiling = 0
   private val MinSmallCeiling = 8
   private val MinEmptyCeiling = 0
+  // Small-delta tick of global (keyless) SUM and MIN, same setting: 9 and 8.
+  private val GlobalSumSmallCeiling = 9
+  private val GlobalMinSmallCeiling = 8
 }

@@ -58,8 +58,7 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
       SynthData.lineitem(spark, sf = 0.001).select("l_returnflag", "l_orderkey", "l_quantity"))
     val out = GroupAggregate.batch(z, Seq("l_returnflag"), AggFunc.Sum("l_quantity"))
     Oracle.assertEquivalent(out.toSetDF,
-      """SELECT l_returnflag, SUM(CAST(l_quantity AS DOUBLE)) AS total
-        |FROM li GROUP BY l_returnflag""".stripMargin,
+      "SELECT l_returnflag, SUM(l_quantity) AS total FROM li GROUP BY l_returnflag",
       "li" -> z.toSetDF)
   }
 
@@ -68,7 +67,7 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
       SynthData.lineitem(spark, sf = 0.001).select("l_returnflag", "l_orderkey", "l_partkey"))
     val out = GroupAggregate.batch(z, Seq("l_returnflag"), AggFunc.Min("l_partkey"))
     Oracle.assertEquivalent(out.toSetDF,
-      "SELECT l_returnflag, MIN(CAST(l_partkey AS BIGINT)) AS mn FROM li GROUP BY l_returnflag",
+      "SELECT l_returnflag, MIN(l_partkey) AS mn FROM li GROUP BY l_returnflag",
       "li" -> z.toSetDF)
   }
 
@@ -115,9 +114,11 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
     checkIncremental(AggFunc.Min("v"), deltas)
   }
 
-  test("grouped SUM and MIN over 18 ticks: groups empty and return, across a consolidation") {
-    // Group 2 empties at ticks 1 and 10 and returns at ticks 5 and 16; the
-    // 16th tick (index 15) consolidates the operators' state.
+  test("grouped and global SUM and MIN over 20 ticks: groups empty and return, across a consolidation") {
+    // Group 2 empties at ticks 1 and 10 and returns at ticks 5 and 16; every
+    // group, so also the one group of `keys = Nil`, empties at tick 18, and
+    // group 1 returns at tick 19. The 16th tick (index 15) consolidates the
+    // operators' state.
     val deltas = Seq(
       kv((1L, 10L) -> 1L, (2L, 5L) -> 1L, (3L, 7L) -> 1L),
       kv((2L, 5L) -> -1L),
@@ -136,9 +137,13 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
       kv((3L, 2L) -> 1L),
       kv((1L, 20L) -> -1L),
       kv((2L, 11L) -> 1L),
-      kv((1L, 6L) -> -1L, (2L, 12L) -> 1L))
-    checkIncremental(AggFunc.Sum("v"), deltas)
-    checkIncremental(AggFunc.Min("v"), deltas)
+      kv((1L, 6L) -> -1L, (2L, 12L) -> 1L),
+      kv((2L, 11L) -> -1L, (2L, 12L) -> -1L, (3L, 1L) -> -1L, (3L, 2L) -> -1L),
+      kv((1L, 7L) -> 1L))
+    for (keys <- Seq(Seq("k"), Nil)) {
+      checkIncremental(AggFunc.Sum("v"), deltas, keys)
+      checkIncremental(AggFunc.Min("v"), deltas, keys)
+    }
   }
 
   test("untouched groups emit no output (§7.4: only changed groupings re-evaluated)") {
@@ -149,10 +154,10 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
     assert(entriesOf(out) == Set((Seq("2", "1"), -1L), (Seq("2", "2"), 1L)))
   }
 
-  // ------------------------------------------------------- global (scalar)
+  // ------------------------------------------- global (GROUP BY (), keys Nil)
 
   test("global SUM via makeset (§7.2 circuit): retract/assert singleton") {
-    val inc = new IncrementalScalarAggregate(AggFunc.Sum("v", "s"))
+    val inc = new IncrementalGroupAggregate(Nil, AggFunc.Sum("v", "s"))
     val o1 = inc.step(kv((1L, 10L) -> 1L, (2L, 5L) -> 2L).project("v").mapRows("v"))
     assert(entriesOf(o1) == Set((Seq("20.000000"), 1L)))
     val o2 = inc.step(kv((3L, 7L) -> 1L).project("v").mapRows("v"))
@@ -160,7 +165,7 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
   }
 
   test("global COUNT tracks insertions and deletions") {
-    val inc = new IncrementalScalarAggregate(AggFunc.Count("c"))
+    val inc = new IncrementalGroupAggregate(Nil, AggFunc.Count("c"))
     val o1 = inc.step(zs1("v", 10L -> 2L, 20L -> 1L))
     assert(entriesOf(o1) == Set((Seq("3"), 1L)))
     val o2 = inc.step(zs1("v", 10L -> -1L))
@@ -168,7 +173,7 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
   }
 
   test("global MIN is brute force but correct under deletions") {
-    val inc = new IncrementalScalarAggregate(AggFunc.Min("v", "m"))
+    val inc = new IncrementalGroupAggregate(Nil, AggFunc.Min("v", "m"))
     inc.step(zs1("v", 10L -> 1L, 20L -> 1L))
     val o2 = inc.step(zs1("v", 5L -> 1L))
     assert(entriesOf(o2) == Set((Seq("10"), -1L), (Seq("5"), 1L)))
@@ -177,7 +182,7 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
   }
 
   test("global AVG = SUM/COUNT (§7.2's composed circuit)") {
-    val inc = new IncrementalScalarAggregate(AggFunc.Avg("v", "a"))
+    val inc = new IncrementalGroupAggregate(Nil, AggFunc.Avg("v", "a"))
     val o1 = inc.step(zs1("v", 10L -> 1L, 20L -> 1L))
     assert(entriesOf(o1) == Set((Seq("15.000000"), 1L)))
     val o2 = inc.step(zs1("v", 30L -> 1L))

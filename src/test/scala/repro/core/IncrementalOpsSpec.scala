@@ -136,35 +136,6 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures {
     assert(outAcc.zequals(inAcc.distinctZ))
   }
 
-  test("seeded IncrementalJoin ≡ bulk-loaded IncrementalJoin on subsequent ticks") {
-    val a = zs2("k", "va", (1L, 10L) -> 1L, (2L, 20L) -> 1L)
-    val b = zs2("k", "vb", (1L, 5L) -> 1L, (3L, 7L) -> 1L)
-    val da = zs2("k", "va", (3L, 30L) -> 1L, (1L, 10L) -> -1L)
-    val db = zs2("k", "vb", (2L, 9L) -> 1L)
-
-    val bulk = new IncrementalJoin(Seq("k"))
-    bulk.step(a, b)
-    val seeded = new IncrementalJoin(Seq("k"))
-    seeded.seed(a, b)
-    assert(bulk.step(da, db).zequals(seeded.step(da, db)))
-  }
-
-  test("seeded IncrementalDistinct ≡ bulk-loaded IncrementalDistinct on subsequent ticks") {
-    val base = zs1("k", 1L -> 2L, 2L -> 1L)
-    val d = zs1("k", 1L -> -2L, 3L -> 1L)
-    val bulk = new IncrementalDistinct
-    bulk.step(base)
-    val seeded = new IncrementalDistinct
-    seeded.seed(base)
-    assert(bulk.step(d).zequals(seeded.step(d)))
-  }
-
-  test("seed after step is rejected") {
-    val op = new IncrementalDistinct
-    op.step(zs1("k", 1L -> 1L))
-    intercept[IllegalArgumentException](op.seed(zs1("k", 2L -> 1L)))
-  }
-
   test("Thm 3.3: lifted filter/map/project are their own incremental versions") {
     implicit val g2: Group[ZSet] = ZSet.group(spark, schema2)
     val rnd = new Random(25)

@@ -39,7 +39,7 @@ class Algorithm48Spec extends SparkSpec with ZSetFixtures with RelChecks {
   test("§4.4: batch ≡ DuckDB") {
     oracleCheck(q44,
       """SELECT DISTINCT t1.x, t2.y FROM t1 JOIN t2 ON t1.id = t2.id
-        |WHERE CAST(t1.a AS BIGINT) > 2 AND CAST(t2.s AS BIGINT) > 5""".stripMargin,
+        |WHERE t1.a > 2 AND t2.s > 5""".stripMargin,
       "t1" -> t1, "t2" -> t2)
   }
 
@@ -75,7 +75,7 @@ class Algorithm48Spec extends SparkSpec with ZSetFixtures with RelChecks {
     oracleCheck(q,
       """SELECT DISTINCT o_orderkey, c_mktsegment
         |FROM orders JOIN customer ON o_custkey = c_custkey
-        |WHERE CAST(o_totalprice AS DOUBLE) > 250000""".stripMargin,
+        |WHERE o_totalprice > 250000""".stripMargin,
       "orders" -> orders, "customer" -> customer)
   }
 
