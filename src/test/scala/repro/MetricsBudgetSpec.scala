@@ -9,6 +9,7 @@ import org.apache.spark.sql.types._
 import repro.agg.{AggFunc, IncrementalGroupAggregate}
 import repro.core.{IncrementalDistinct, IncrementalJoin}
 import repro.nested.{IncrementalTransitiveClosure, NestedIncrementalDistinct}
+import repro.recursive.TransitiveClosure
 import repro.zset.ZSet
 
 /** Spark-job budgets: work on empty and already-consolidated Z-sets, and a
@@ -126,6 +127,14 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     assert(deleteJobs <= TcDeleteCeiling)
   }
 
+  test("an empty transaction of the incremental transitive closure stays under its job ceiling") {
+    val itc = new IncrementalTransitiveClosure(spark)
+    itc.step(zs2("h", "t", dag.map(_ -> 1L): _*))
+    val (_, jobs) = jobsOf(itc.step(TransitiveClosure.emptyE(spark)))
+    info(s"jobs: $jobs")
+    assert(jobs <= TcEmptyCeiling)
+  }
+
   test("a small-delta and an all-empty tick of IncrementalJoin stay under their job ceilings") {
     val op = new IncrementalJoin(Seq("k"))
     val kvb = StructType(Seq(StructField("k", LongType), StructField("vb", LongType)))
@@ -186,6 +195,8 @@ object MetricsBudgetSpec {
   // Measured on Spark 4.1.2, local[4]: 39 and 39 jobs.
   private val TcInsertCeiling = 39
   private val TcDeleteCeiling = 39
+  // Empty transaction, same setting: 16 jobs.
+  private val TcEmptyCeiling = 16
 
   // Small-delta tick / all-empty tick, same setting: join 8 / 0, distinct
   // 7 / 0, grouped SUM 9 / 0, grouped MIN 8 / 0. When first set (state kept
