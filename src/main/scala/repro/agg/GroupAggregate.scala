@@ -30,14 +30,17 @@ object AggFunc {
   */
 object GroupAggregate {
 
-  /** Weighted accumulator columns for the linear part of an aggregate. */
-  private[agg] def accExprs(f: AggFunc): Seq[Column] = {
+  /** The accumulators of an aggregate, each a SUM or MIN of a weighted
+    * per-row expression.
+    */
+  private[agg] def accs(f: AggFunc): Seq[ZSet.Agg] = {
     val w = col(ZSet.W)
+    val cnt = ZSet.Agg("__cnt", w)
     f match {
-      case AggFunc.Count(_)   => Seq(sum(w) as "__cnt")
-      case AggFunc.Sum(c, _)  => Seq(sum(w) as "__cnt", sum(col(c).cast("double") * w) as "__sm")
-      case AggFunc.Avg(c, _)  => Seq(sum(w) as "__cnt", sum(col(c).cast("double") * w) as "__sm")
-      case AggFunc.Min(c, _)  => Seq(sum(w) as "__cnt", min(when(w > 0, col(c))) as "__mn")
+      case AggFunc.Count(_)   => Seq(cnt)
+      case AggFunc.Sum(c, _)  => Seq(cnt, ZSet.Agg("__sm", col(c).cast("double") * w))
+      case AggFunc.Avg(c, _)  => Seq(cnt, ZSet.Agg("__sm", col(c).cast("double") * w))
+      case AggFunc.Min(c, _)  => Seq(cnt, ZSet.Agg("__mn", when(w > 0, col(c)), min = true))
     }
   }
 
@@ -56,8 +59,7 @@ object GroupAggregate {
     * dropped, so the view is empty.
     */
   def batch(z: ZSet, keys: Seq[String], f: AggFunc): ZSet = {
-    val c = z.consolidate().df
-    val grouped = c.groupBy(keys.map(col): _*).agg(accExprs(f).head, accExprs(f).tail: _*)
+    val grouped = z.consolidate().aggregate(keys, accs(f)).df
     val rows = grouped
       .where(col("__cnt") =!= 0)
       .select((keys.map(col) :+ (render(f) as f.alias)): _*)
@@ -76,7 +78,10 @@ object GroupAggregate {
   * ones. For MIN it holds the full input integral, and the touched groups'
   * minima are recomputed from it — the paper's brute-force fallback. Either
   * way the old output rows are rendered from the state probed by the touched
-  * keys, so no copy of the view is kept.
+  * keys, so no copy of the view is kept. A local change costs one job, the
+  * bounded probe of the state ([[Trace.bounded]]); the per-row accumulator
+  * projections fold into local relations and the groups are merged on the
+  * driver.
   *
   * A global aggregate (§7.2) is the grouping by the empty key, `keys = Nil`:
   * every non-zero change touches the one group, and the probe returns the
@@ -111,19 +116,13 @@ final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
     }
 
   /** One accumulator row per group of `z`, weight 1. */
-  private def accumulate(z: ZSet): ZSet = {
-    val accs = GroupAggregate.accExprs(f)
-    ZSet.raw(z.df.groupBy(keys.map(col): _*).agg(accs.head, accs.tail: _*).withColumn(W, lit(1L)))
-  }
+  private def accumulate(z: ZSet): ZSet = z.aggregate(keys, GroupAggregate.accs(f))
 
   /** The new accumulator rows of the touched groups: old rows plus the
     * change's, summed with their weights; groups whose count reaches 0 drop.
     */
-  private def merge(old: ZSet, dAcc: ZSet): ZSet = {
-    val accs = old.dataCols.filterNot(keys.contains).map(a => sum(col(a) * col(W)) as a)
-    ZSet.raw(old.plus(dAcc).df
-      .groupBy(keys.map(col): _*).agg(accs.head, accs.tail: _*)
-      .where(col("__cnt") =!= 0)
-      .withColumn(W, lit(1L)))
-  }
+  private def merge(old: ZSet, dAcc: ZSet): ZSet =
+    old.plus(dAcc)
+      .aggregate(keys, old.dataCols.filterNot(keys.contains).map(a => ZSet.Agg(a, col(a) * col(W))))
+      .filterZ(col("__cnt") =!= 0)
 }

@@ -30,25 +30,36 @@ final class IncrementalDistinct extends Op[ZSet, ZSet] {
 object IncrementalDistinct {
   /** The H function of Proposition 4.7, evaluated only on the support of `d`:
     * the integral is first probed with d's tuples, then per-tuple old/new
-    * multiplicities decide the sign flips. A known-zero `d` gives a known
-    * zero.
+    * multiplicities decide the sign flips. With a local `d` and a bounded
+    * probe `im` this is H = distinct(im + d) − distinct(im), on the driver.
+    * A known-zero `d` gives a known zero.
     */
   def h(i: ZSet, d: ZSet): ZSet =
     if (d.isKnownZero) d
     else {
-      val W = ZSet.W
       val keys = d.dataCols
-      val iMatched = Trace.probe(i, d, keys).consolidate().df.withColumnRenamed(W, "__wi")
-      val joined = d.consolidate().df.join(broadcast(iMatched), keys, "left_outer")
-      val old = coalesce(col("__wi"), lit(0L))
-      val nw  = old + col(W)
-      val hWeight = when(old > 0 && nw <= 0, -1L)
-        .when(old <= 0 && nw > 0, 1L)
-        .otherwise(0L)
-      ZSet.raw(
-        joined
-          .withColumn(W, hWeight)
-          .drop("__wi")
-          .where(col(W) =!= 0))
+      val probed = Trace.bounded(i, d, keys)
+      probed.filter(_ => d.isLocal) match {
+        case Some(im) => d.plus(im).distinctZ.minus(im.distinctZ)
+        case None =>
+          val W = ZSet.W
+          val iMatched = probed.getOrElse(Trace.semiJoin(i, d, keys)).consolidate().df
+            .select(keys.map(k => col(k) as s"__i_$k") :+ (col(W) as "__wi"): _*)
+          val dc = d.consolidate().df
+          val joined = dc
+            .join(broadcast(iMatched),
+              keys.map(k => dc(k) <=> col(s"__i_$k")).reduceOption(_ && _).getOrElse(lit(true)), "left_outer")
+            .drop(keys.map(k => s"__i_$k"): _*)
+          val old = coalesce(col("__wi"), lit(0L))
+          val nw  = old + col(W)
+          val hWeight = when(old > 0 && nw <= 0, -1L)
+            .when(old <= 0 && nw > 0, 1L)
+            .otherwise(0L)
+          ZSet.raw(
+            joined
+              .withColumn(W, hWeight)
+              .drop("__wi")
+              .where(col(W) =!= 0))
+      }
     }
 }

@@ -9,10 +9,13 @@ import repro.zset.{Trace, ZSet}
   * }}}
   * The two delayed integrals are the operator's state (space O(R), §4.5),
   * kept in [[Trace]]s so each tick costs O(C): the change is compacted, the
-  * state is not rewritten. Each delta-vs-state product broadcasts the change
-  * side — Spark's analogue of an indexed state lookup.
+  * state is not rewritten. In each delta-vs-state product the state is first
+  * probed with the change's `keys` (all of it for ×); when the change is
+  * local and the probe bounded, the product runs on the driver after that
+  * one job. Otherwise the change side is broadcast — Spark's analogue of an
+  * indexed state lookup.
   */
-sealed abstract class IncrementalBilinear(times: (ZSet, ZSet) => ZSet)
+sealed abstract class IncrementalBilinear(keys: Seq[String], times: (ZSet, ZSet) => ZSet)
     extends Op2[ZSet, ZSet, ZSet] {
   private val ia = new Trace // I(a)
   private val ib = new Trace // I(b)
@@ -22,13 +25,13 @@ sealed abstract class IncrementalBilinear(times: (ZSet, ZSet) => ZSet)
     val dbc = db.compact()
     val (a, b) = (ia.append(dac), ib.append(dbc))
     times(dac.broadcastHint, dbc)
-      .plus(times(a, dbc.broadcastHint))
-      .plus(times(dac.broadcastHint, b))
+      .plus(Trace.bounded(a, dbc, keys).fold(times(a, dbc.broadcastHint))(times(_, dbc)))
+      .plus(Trace.bounded(b, dac, keys).fold(times(dac.broadcastHint, b))(times(dac, _)))
   }
 }
 
 /** The incremental equi-join ⋈ on the shared `keys` columns. */
-final class IncrementalJoin(keys: Seq[String]) extends IncrementalBilinear(_.join(_, keys))
+final class IncrementalJoin(keys: Seq[String]) extends IncrementalBilinear(keys, _.join(_, keys))
 
 /** The incremental Cartesian product ×. */
-final class IncrementalCartesian extends IncrementalBilinear(_.cartesian(_))
+final class IncrementalCartesian extends IncrementalBilinear(Nil, _.cartesian(_))

@@ -1,6 +1,6 @@
 package repro.zset
 
-import org.apache.spark.sql.functions.{broadcast, col}
+import org.apache.spark.sql.functions.{broadcast, col, lit}
 
 /** The integral I (Definition 2.19) of a Z-set stream, kept append-only: the
   * state of every stateful Z-set operator, in the style of DBSP's runtime
@@ -25,7 +25,9 @@ final class Trace {
   }
 
   /** Add a delta as given (callers pass compacted ones) and return the value
-    * before it, z⁻¹(I) at this tick. Appending a known zero is free.
+    * before it, z⁻¹(I) at this tick. Appending a known zero is free, and
+    * appending a local delta to a Spark-held value is a lazy union that
+    * costs no job until the next consolidation.
     */
   def append(d: ZSet): ZSet = {
     val before = valueLike(d)
@@ -53,13 +55,33 @@ object Trace {
   /** Appends between two consolidations of a trace. */
   private val ConsolidateEvery = 16
 
-  /** `z` restricted to the tuples whose `keys` columns match a tuple of `by`:
-    * a left-semi join against the broadcast keys of `by`, the change-sized
-    * side — Spark's analogue of an indexed state lookup. A known-zero `z` or
-    * `by` gives a known zero.
+  /** `z` restricted to the tuples whose `keys` columns match a tuple of `by`
+    * (null keys match null, as they group): the bounded probe when it
+    * applies (see [[bounded]]), else a left-semi join against the broadcast
+    * keys of `by`, the change-sized side — Spark's analogue of an indexed
+    * state lookup.
     */
   def probe(z: ZSet, by: ZSet, keys: Seq[String]): ZSet =
-    if (z.isKnownZero) z
-    else if (by.isKnownZero) ZSet.empty(z.spark, z.dataSchema)
-    else ZSet.raw(z.df.join(broadcast(by.df.select(keys.map(col): _*)), keys, "left_semi"))
+    bounded(z, by, keys).getOrElse(semiJoin(z, by, keys))
+
+  /** The probe as a local Z-set: a known-zero `z` or `by` gives a known
+    * zero; a local `by` restricts `z` on the driver if `z` is local, else by
+    * one Spark job that filters `z` with an `isin` literal of by's keys and
+    * collects the matches ([[ZSet.restrictTo]]). `None` when `by` is not
+    * local or more than `ZSet.LocalLimit` rows match.
+    */
+  def bounded(z: ZSet, by: ZSet, keys: Seq[String]): Option[ZSet] =
+    if (z.isKnownZero) Some(z)
+    else if (by.isKnownZero) Some(ZSet.empty(z.spark, z.dataSchema))
+    else if (by.isLocal) z.restrictTo(by, keys)
+    else None
+
+  /** The probe as a broadcast left-semi join, null keys matching null: a
+    * lazy Spark plan.
+    */
+  def semiJoin(z: ZSet, by: ZSet, keys: Seq[String]): ZSet = {
+    val probeKeys = by.df.select(keys.map(k => col(k) as s"__p_$k"): _*)
+    val on = keys.map(k => z.df(k) <=> col(s"__p_$k")).reduceOption(_ && _).getOrElse(lit(true))
+    ZSet.raw(z.df.join(broadcast(probeKeys), on, "left_semi"))
+  }
 }

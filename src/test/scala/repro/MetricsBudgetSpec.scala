@@ -6,11 +6,11 @@ import org.apache.spark.TestListenerBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.types._
 
-import repro.agg.{AggFunc, IncrementalGroupAggregate}
+import repro.agg.{AggFunc, GroupAggregate, IncrementalGroupAggregate}
 import repro.core.{IncrementalDistinct, IncrementalJoin}
 import repro.nested.{IncrementalTransitiveClosure, NestedIncrementalDistinct}
 import repro.recursive.TransitiveClosure
-import repro.zset.ZSet
+import repro.zset.{Trace, ZSet}
 
 /** Spark-job budgets: work on empty and already-consolidated Z-sets, and a
   * bulk load of compacted inputs through `step`, launch no job; a
@@ -24,40 +24,55 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
 
   /** Runs `body` and counts the Spark jobs it launched, broadcast jobs
     * included: jobs are told apart by a local property, which jobs started
-    * from Spark's own threads on this thread's behalf inherit.
+    * from Spark's own threads on this thread's behalf inherit. Broadcast
+    * exchanges are the jobs Spark tags `broadcast exchange (runId …)`.
     */
-  private def jobsOf[A](body: => A): (A, Int) = {
+  private def jobsByKind[A](body: => A): (A, Jobs) = {
     val sc = spark.sparkContext
     val tag = s"budget-${ids.incrementAndGet()}"
-    val jobs = new AtomicInteger
+    val (all, broadcasts) = (new AtomicInteger, new AtomicInteger)
     val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty(Key) == tag)) jobs.incrementAndGet()
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        def prop(k: String) = Option(e.properties).flatMap(p => Option(p.getProperty(k)))
+        if (prop(Key).contains(tag)) {
+          all.incrementAndGet()
+          if (prop("spark.job.tags").exists(_.split(",").exists(_.startsWith("broadcast exchange"))))
+            broadcasts.incrementAndGet()
+        }
+      }
     }
     sc.addSparkListener(listener)
     sc.setLocalProperty(Key, tag)
     try {
       val out = body
       TestListenerBus.drain(sc)
-      (out, jobs.get)
+      (out, Jobs(all.get, broadcasts.get))
     } finally {
       sc.setLocalProperty(Key, null)
       sc.removeSparkListener(listener)
     }
   }
 
+  /** The number of Spark jobs `body` launched (see [[jobsByKind]]). */
+  private def jobsOf[A](body: => A): (A, Int) = {
+    val (out, jobs) = jobsByKind(body)
+    (out, jobs.all)
+  }
+
   private val kv = StructType(Seq(StructField("k", LongType), StructField("v", LongType)))
 
-  /** 100 rows over 20 keys, with value column `v`. */
-  private def bulk(v: String): ZSet = zs2("k", v, (0L until 100L).map(i => (i % 20, i) -> 1L): _*)
+  /** 100 rows over 20 keys, with value column `v`, held by Spark as a bulk
+    * load is.
+    */
+  private def bulk(v: String): ZSet = held(zs2("k", v, (0L until 100L).map(i => (i % 20, i) -> 1L): _*))
 
   /** After `load`, the jobs of one small-delta tick and of one all-empty
     * tick, each output materialized the way a consumer of the view would.
     */
-  private def tickJobs(name: String)(load: => ZSet, small: => ZSet, empty: => ZSet): (Int, Int) = {
+  private def tickJobs(name: String)(load: => ZSet, small: => ZSet, empty: => ZSet): (Jobs, Jobs) = {
     load.compact()
-    val (_, s) = jobsOf(small.compact())
-    val (_, e) = jobsOf(empty.compact())
+    val (_, s) = jobsByKind(small.compact())
+    val (_, e) = jobsByKind(empty.compact())
     info(s"$name jobs: small-delta tick $s, all-empty tick $e")
     (s, e)
   }
@@ -81,7 +96,7 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
   }
 
   test("entryCount and isEmpty after compact() launch no job") {
-    val a = zs2("k", "v", (1L, 10L) -> 2L, (1L, 10L) -> -1L, (2L, 20L) -> 1L, (3L, 30L) -> 0L)
+    val a = held(zs2("k", "v", (1L, 10L) -> 2L, (1L, 10L) -> -1L, (2L, 20L) -> 1L, (3L, 30L) -> 0L))
     val (c, compactJobs) = jobsOf(a.compact())
     // Learning the count adds no Spark action to the checkpoint itself.
     val (_, checkpointJobs) = jobsOf(a.consolidate().df.localCheckpoint())
@@ -119,17 +134,17 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
 
   test("a single-edge update of the incremental transitive closure stays under its job ceiling") {
     val itc = new IncrementalTransitiveClosure(spark)
-    itc.step(zs2("h", "t", dag.map(_ -> 1L): _*))
-    val (_, insertJobs) = jobsOf(itc.step(zs2("h", "t", (0L, 5L) -> 1L)))
-    val (_, deleteJobs) = jobsOf(itc.step(zs2("h", "t", (0L, 5L) -> -1L)))
+    itc.step(held(zs2("h", "t", dag.map(_ -> 1L): _*)))
+    val (_, insertJobs) = jobsByKind(itc.step(zs2("h", "t", (0L, 5L) -> 1L)))
+    val (_, deleteJobs) = jobsByKind(itc.step(zs2("h", "t", (0L, 5L) -> -1L)))
     info(s"jobs: insert $insertJobs, delete $deleteJobs")
-    assert(insertJobs <= TcInsertCeiling)
-    assert(deleteJobs <= TcDeleteCeiling)
+    assert(insertJobs.all <= TcInsertCeiling)
+    assert(deleteJobs.all <= TcDeleteCeiling)
   }
 
   test("an empty transaction of the incremental transitive closure stays under its job ceiling") {
     val itc = new IncrementalTransitiveClosure(spark)
-    itc.step(zs2("h", "t", dag.map(_ -> 1L): _*))
+    itc.step(held(zs2("h", "t", dag.map(_ -> 1L): _*)))
     val (_, jobs) = jobsOf(itc.step(TransitiveClosure.emptyE(spark)))
     info(s"jobs: $jobs")
     assert(jobs <= TcEmptyCeiling)
@@ -142,7 +157,7 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
       op.step(bulk("v"), bulk("vb")),
       op.step(zs2("k", "v", (3L, 1000L) -> 1L, (4L, 4L) -> -1L), zs2("k", "vb", (5L, 2000L) -> 1L)),
       op.step(ZSet.empty(spark, kv), ZSet.empty(spark, kvb)))
-    assert(small <= JoinSmallCeiling && empty <= JoinEmptyCeiling)
+    assert(small.all <= JoinSmallCeiling && small.broadcast == 0 && empty.all <= JoinEmptyCeiling)
   }
 
   test("a small-delta and an all-empty tick of IncrementalDistinct stay under their job ceilings") {
@@ -151,7 +166,7 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
       op.step(bulk("v").project("k")),
       op.step(zs1("k", 3L -> -5L, 500L -> 1L)),
       op.step(ZSet.empty(spark, StructType(Seq(StructField("k", LongType))))))
-    assert(small <= DistinctSmallCeiling && empty <= DistinctEmptyCeiling)
+    assert(small.all <= DistinctSmallCeiling && small.broadcast == 0 && empty.all <= DistinctEmptyCeiling)
   }
 
   test("a small-delta and an all-empty tick of grouped SUM and MIN stay under their job ceilings") {
@@ -166,10 +181,38 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     val (minSmall, minEmpty) = ticks("MIN", Seq("k"), AggFunc.Min("v"))
     val (gSumSmall, gSumEmpty) = ticks("global SUM", Nil, AggFunc.Sum("v"))
     val (gMinSmall, gMinEmpty) = ticks("global MIN", Nil, AggFunc.Min("v"))
-    assert(sumSmall <= SumSmallCeiling && sumEmpty <= SumEmptyCeiling)
-    assert(minSmall <= MinSmallCeiling && minEmpty <= MinEmptyCeiling)
-    assert(gSumSmall <= GlobalSumSmallCeiling && gSumEmpty == 0)
-    assert(gMinSmall <= GlobalMinSmallCeiling && gMinEmpty == 0)
+    assert(sumSmall.all <= SumSmallCeiling && sumEmpty.all <= SumEmptyCeiling)
+    assert(minSmall.all <= MinSmallCeiling && minEmpty.all <= MinEmptyCeiling)
+    assert(gSumSmall.all <= GlobalSumSmallCeiling && gSumEmpty.all == 0)
+    assert(gMinSmall.all <= GlobalMinSmallCeiling && gMinEmpty.all == 0)
+    assert(Seq(sumSmall, minSmall, gSumSmall, gMinSmall).forall(_.broadcast == 0))
+  }
+
+  test("a change of more than LocalLimit rows is not local and costs what it did before") {
+    val large = zs2("k", "v", (0L to ZSet.LocalLimit.toLong).map(i => (i % 20, i + 1000) -> 1L): _*)
+    assert(!large.isLocal)
+    val join = new IncrementalJoin(Seq("k"))
+    val distinct = new IncrementalDistinct
+    val kvb = StructType(Seq(StructField("k", LongType), StructField("vb", LongType)))
+    join.step(bulk("v"), bulk("vb")).compact()
+    distinct.step(bulk("v").project("k")).compact()
+    val (_, j) = jobsByKind(join.step(large, ZSet.empty(spark, kvb)).compact())
+    val (_, d) = jobsByKind(distinct.step(large.project("k")).compact())
+    info(s"large-change jobs: join $j, distinct $d")
+    assert(j.all == JoinLargeJobs && d.all == DistinctLargeJobs)
+  }
+
+  test("a probe matching more than LocalLimit rows falls back to the broadcast plan") {
+    val state = held(zs2("k", "v", (0L to ZSet.LocalLimit.toLong).map(i => (0L, i + 10) -> 1L): _*)).compact()
+    val change = zs2("k", "v", (0L, 10L) -> -1L, (1L, 5L) -> 1L)
+    assert(change.isLocal)
+    assert(Trace.bounded(state, change, Nil).isEmpty && Trace.bounded(state, change, Seq("k")).isEmpty)
+    for (keys <- Seq(Seq("k"), Nil)) {
+      val op = new IncrementalGroupAggregate(keys, AggFunc.Min("v"))
+      val before = op.step(state)
+      val after = before.plus(op.step(change))
+      assert(after.zequals(GroupAggregate.batch(state.plus(change), keys, AggFunc.Min("v"))))
+    }
   }
 
   test("bulk-loading IncrementalJoin and IncrementalDistinct through step launches no job") {
@@ -184,6 +227,11 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
 }
 
 object MetricsBudgetSpec {
+  /** Jobs launched, and how many of them were broadcast exchanges. */
+  final case class Jobs(all: Int, broadcast: Int) {
+    override def toString: String = s"$all ($broadcast broadcast)"
+  }
+
   private val Key = "repro.budget"
   private val ids = new AtomicInteger
 
@@ -213,4 +261,8 @@ object MetricsBudgetSpec {
   // Small-delta tick of global (keyless) SUM and MIN, same setting: 9 and 8.
   private val GlobalSumSmallCeiling = 9
   private val GlobalMinSmallCeiling = 8
+  // A tick with a change of LocalLimit + 1 rows, same setting, as measured
+  // before local Z-sets existed.
+  private val JoinLargeJobs = 5
+  private val DistinctLargeJobs = 6
 }

@@ -1,6 +1,10 @@
 package repro
 
-import org.apache.spark.sql.DataFrame
+import scala.jdk.CollectionConverters._
+import scala.util.Random
+
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types._
 
 import repro.zset.ZSet
 
@@ -33,6 +37,37 @@ trait ZSetFixtures { self: SparkSpec =>
     val spark = self.spark
     import spark.implicits._
     values.toSeq.toDF(col)
+  }
+
+  /** A Spark-held copy of `z`: its rows checkpointed, so it is never local,
+    * as a bulk load from `spark.range` is not.
+    */
+  def held(z: ZSet): ZSet = ZSet.raw(z.df.localCheckpoint())
+
+  /** Keys Spark groups specially: null, −0.0 and 0.0 (one value), NaN. */
+  val edgeKeys: Seq[java.lang.Double] = null +: Seq(-0.0, 0.0, Double.NaN, 1.5).map(Double.box)
+
+  /** Weighted rows over (`k`: nullable double, `v`: long). */
+  def dfKV(k: String, v: String, rows: Seq[(java.lang.Double, Long, Long)]): DataFrame =
+    spark.createDataFrame(rows.map { case (a, b, w) => Row(a, b, w) }.asJava, StructType(Seq(
+      StructField(k, DoubleType), StructField(v, LongType, nullable = false),
+      StructField(ZSet.W, LongType, nullable = false))))
+
+  /** Random weighted rows over (`k`, `v`) with keys from `edgeKeys`,
+    * duplicate rows, and a row whose weights cancel.
+    */
+  def randKV(rnd: Random, k: String, v: String, maxRows: Int = 6): DataFrame = {
+    val rows = Seq.fill(1 + rnd.nextInt(maxRows))(
+      (edgeKeys(rnd.nextInt(edgeKeys.size)), rnd.nextInt(3).toLong, rnd.nextInt(5) - 2L))
+    val (ck, cv, cw) = rows.head
+    dfKV(k, v, rows ++ rows.take(2) :+ ((ck, cv, -cw)))
+  }
+
+  /** The same weighted rows as a local Z-set and as a Spark-held one. */
+  def localAndHeld(df: DataFrame): (ZSet, ZSet) = {
+    val (l, h) = (ZSet.raw(df), ZSet.raw(df.localCheckpoint()))
+    assert(l.isLocal && !h.isLocal, "fixture: representations")
+    (l, h)
   }
 
   /** Canonical entries for equality assertions. */

@@ -188,4 +188,43 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
     val o2 = inc.step(zs1("v", 30L -> 1L))
     assert(entriesOf(o2) == Set((Seq("15.000000"), -1L), (Seq("20.000000"), 1L)))
   }
+
+  // ------------------------------- local and Spark-held changes agree
+
+  test("COUNT, SUM, AVG and MIN, keyed and global, agree on local, Spark-held and mixed changes") {
+    // A positive change stream over keys from `edgeKeys`: each tick inserts
+    // rows (sometimes one twice), deletes live ones, and inserts and deletes
+    // one row in the same change.
+    val rnd = new Random(52)
+    val live = scala.collection.mutable.ArrayBuffer.empty[(java.lang.Double, Long)]
+    val changes = Seq.fill(5) {
+      def fresh() = (edgeKeys(rnd.nextInt(edgeKeys.size)), rnd.nextInt(20).toLong)
+      val ins = Seq.fill(1 + rnd.nextInt(3))(fresh())
+      val dels = Seq.fill(math.min(live.size, rnd.nextInt(3)))(live.remove(rnd.nextInt(live.size)))
+      val twice = if (rnd.nextBoolean()) ins.take(1) else Nil
+      val cancel = fresh()
+      live ++= ins ++ twice
+      dfKV("k", "v", (ins ++ twice).map { case (k, v) => (k, v, 1L) } ++
+        dels.map { case (k, v) => (k, v, -1L) } ++ Seq((cancel._1, cancel._2, 1L), (cancel._1, cancel._2, -1L)))
+    }
+    val both = changes.map(localAndHeld)
+    val modes = Seq("local" -> both.map(_._1), "held" -> both.map(_._2),
+      "mixed" -> both.zipWithIndex.map { case ((l, h), t) => if (t % 2 == 1) l else h })
+    for (f <- Seq(AggFunc.Count(), AggFunc.Sum("v"), AggFunc.Avg("v"), AggFunc.Min("v")); keys <- Seq(Seq("k"), Nil)) {
+      val outs = modes.map { case (m, ds) =>
+        val op = new IncrementalGroupAggregate(keys, f)
+        m -> ds.map(op.step)
+      }
+      var inAcc = ZSet.empty(spark, both.head._1.dataSchema)
+      var outAcc = ZSet.empty(spark, outs.head._2.head.dataSchema)
+      for (t <- changes.indices) {
+        val label = s"$f by ${keys.mkString(",")} tick $t"
+        val es = outs.map { case (m, o) => m -> o(t).entries() }
+        assert(es.map(_._2).distinct.size == 1, s"$label: $es")
+        inAcc = inAcc.plus(both(t)._1)
+        outAcc = outAcc.plus(outs.head._2(t))
+        assert(outAcc.zequals(GroupAggregate.batch(inAcc, keys, f)), s"$label: against batch")
+      }
+    }
+  }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import scala.util.Random
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types._
 
 import repro.algebra.Group
@@ -171,5 +172,70 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures {
     val direct = Op.lift(flat _)
     val brute = Op.incremental(Op.lift(flat _))(g1, gOut)
     deltas.foreach { d => assert(direct.step(d).zequals(brute.step(d))) }
+  }
+
+  // ------------------------------- local and Spark-held changes agree
+
+  /** Each change as a local Z-set, as a Spark-held one, and mixed: a
+    * Spark-held first change (a bulk load), then local on the ticks `local`
+    * picks and Spark-held on the others.
+    */
+  private def modes(changes: Seq[DataFrame], local: Int => Boolean = _ % 2 == 1): Seq[(String, Seq[ZSet])] = {
+    val both = changes.map(localAndHeld)
+    Seq("local" -> both.map(_._1), "held" -> both.map(_._2),
+      "mixed" -> both.zipWithIndex.map { case ((l, h), t) => if (t > 0 && local(t)) l else h })
+  }
+
+  /** The other operand's mixed stream: local where the first one is held. */
+  private val otherTicks: Int => Boolean = _ % 2 == 0
+
+  private def identicalTicks(name: String, outs: Seq[(String, Seq[ZSet])], brute: Seq[ZSet]): Unit =
+    brute.indices.foreach { t =>
+      val es = outs.map { case (m, o) => m -> o(t).entries() }
+      assert(es.map(_._2).distinct.size == 1, s"$name tick $t: $es")
+      assert(outs.head._2(t).zequals(brute(t)), s"$name tick $t: against brute force")
+    }
+
+  private val schemaKV = StructType(Seq(StructField("k", DoubleType), StructField("v", LongType, nullable = false)))
+  private val schemaKU = StructType(Seq(StructField("k", DoubleType), StructField("u", LongType, nullable = false)))
+
+  test("IncrementalJoin and IncrementalDistinct agree on local, Spark-held and mixed changes") {
+    val rnd = new Random(28)
+    val as = Seq.fill(5)(randKV(rnd, "k", "v"))
+    val bs = Seq.fill(5)(randKV(rnd, "k", "u"))
+    val (gA, gB) = (ZSet.group(spark, schemaKV), ZSet.group(spark, schemaKU))
+    val gC = ZSet.group(spark, StructType(schemaKV.fields :+ StructField("u", LongType, nullable = false)))
+    val bruteJoin = Op.incremental2(ZSetOps.join(Seq("k")))(gA, gB, gC)
+    val joinBrute = as.zip(bs).map { case (a, b) => bruteJoin.step(ZSet.raw(a), ZSet.raw(b)) }
+    val joins = modes(as).zip(modes(bs, otherTicks)).map { case ((m, da), (_, db)) =>
+      val op = new IncrementalJoin(Seq("k"))
+      m -> da.zip(db).map { case (a, b) => op.step(a, b) }
+    }
+    identicalTicks("join", joins, joinBrute)
+
+    val bruteDistinct = Op.incremental(ZSetOps.distinct)(gA, gA)
+    val distinctBrute = as.map(a => bruteDistinct.step(ZSet.raw(a)))
+    val distincts = modes(as).map { case (m, ds) =>
+      val op = new IncrementalDistinct
+      m -> ds.map(op.step)
+    }
+    identicalTicks("distinct", distincts, distinctBrute)
+  }
+
+  test("IncrementalCartesian agrees on local, Spark-held and mixed changes") {
+    val rnd = new Random(29)
+    def xy(df: DataFrame) = df.selectExpr("k AS x", s"${ZSet.W}")
+    val as = Seq.fill(4)(xy(randKV(rnd, "k", "v", maxRows = 3)))
+    val bs = Seq.fill(4)(randKV(rnd, "k", "v", maxRows = 3).selectExpr("v AS y", ZSet.W))
+    val gA = ZSet.group(spark, StructType(Seq(StructField("x", DoubleType))))
+    val gB = ZSet.group(spark, StructType(Seq(StructField("y", LongType, nullable = false))))
+    val gC = ZSet.group(spark, StructType(gA.zero.dataSchema.fields ++ gB.zero.dataSchema.fields))
+    val brute = Op.incremental2(ZSetOps.cartesian)(gA, gB, gC)
+    val bruteOut = as.zip(bs).map { case (a, b) => brute.step(ZSet.raw(a), ZSet.raw(b)) }
+    val outs = modes(as).zip(modes(bs, otherTicks)).map { case ((m, da), (_, db)) =>
+      val op = new IncrementalCartesian
+      m -> da.zip(db).map { case (a, b) => op.step(a, b) }
+    }
+    identicalTicks("cartesian", outs, bruteOut)
   }
 }

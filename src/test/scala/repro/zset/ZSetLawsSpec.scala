@@ -170,4 +170,70 @@ class ZSetLawsSpec extends SparkSpec with ZSetFixtures {
     for (z <- variants(rnd, Seq("k", "v")) ++ variants(rnd, Seq("v", "k")))
       assert(z.compact().entryCount == fresh(z).consolidate().df.count())
   }
+
+  // ------------------------------- local and Spark-held operands agree
+
+  /** Every result has the same consolidated entries; `label` names the case. */
+  private def identical(label: String, results: Seq[ZSet]): Unit = {
+    val es = results.map(_.entries())
+    assert(es.distinct.size == 1, s"$label: ${es.mkString(" vs ")}")
+  }
+
+  test("Z-set operators give identical results on local, Spark-held and mixed operands") {
+    val rnd = new Random(10)
+    val unary: Seq[(String, ZSet => ZSet)] = Seq(
+      "negate" -> (_.negate),
+      "consolidate" -> (_.consolidate()),
+      "distinct" -> (_.distinctZ),
+      "filter" -> (_.filterZ(col("k") > 0 || col("k").isNull)),
+      "map" -> (_.mapRows("k * 2 AS k", "v")),
+      "project" -> (_.project("k")))
+    val binary: Seq[(String, (ZSet, ZSet) => ZSet)] = Seq(
+      "plus" -> (_.plus(_)),
+      "minus" -> (_.minus(_)),
+      "join" -> ((a, c) => a.join(c.mapRows("k", "v AS u"), Seq("k"))),
+      "cartesian" -> ((a, c) => a.cartesian(c.mapRows("k AS x", "v AS y"))))
+    for (trial <- 0 until Trials) {
+      val (a, ah) = localAndHeld(randKV(rnd, "k", "v"))
+      val (b, bh) = localAndHeld(randKV(rnd, "k", "v"))
+      for ((name, op) <- unary) {
+        assert(op(a).isLocal, s"$name of a local operand is local")
+        identical(s"$name, trial $trial", Seq(op(a), op(ah)))
+      }
+      for ((name, op) <- binary) {
+        assert(op(a, b).isLocal, s"$name of local operands is local")
+        identical(s"$name, trial $trial", Seq(op(a, b), op(ah, bh), op(a, bh), op(ah, b)))
+      }
+      val equal = Seq(a.zequals(b), ah.zequals(bh), a.zequals(bh), ah.zequals(b))
+      assert(equal.distinct.size == 1, s"zequals, trial $trial")
+      assert(a.zequals(ah) && ah.zequals(a) && a.minus(b).plus(b).zequals(ah))
+    }
+  }
+
+  test("null keys never match in a join and group together; −0.0 is 0.0 and NaN is NaN") {
+    val rows = Seq[(java.lang.Double, Long, Long)](
+      (null, 1L, 1L), (null, 1L, 2L), (-0.0, 1L, 1L), (0.0, 1L, 1L), (Double.NaN, 1L, 1L), (Double.NaN, 1L, 1L))
+    val (a, ah) = localAndHeld(dfKV("k", "v", rows))
+    val (b, bh) = localAndHeld(dfKV("k", "u", rows))
+    val expected = Set((Seq("∅", "1"), 3L), (Seq("0.000000", "1"), 2L), (Seq("NaN", "1"), 2L))
+    assert(entriesOf(a) == expected && entriesOf(ah) == expected)
+    val joined = Set((Seq("0.000000", "1", "1"), 4L), (Seq("NaN", "1", "1"), 4L))
+    for ((x, y) <- Seq(a -> b, ah -> bh, a -> bh, ah -> b))
+      assert(entriesOf(x.join(y, Seq("k"))) == joined)
+  }
+
+  test("weight overflow in a join and in a consolidation throws on both representations") {
+    def overflows(body: => Any): Boolean =
+      try { body; false }
+      catch { case e: Exception =>
+        Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(_.isInstanceOf[ArithmeticException])
+      }
+    val (big, bigH) = localAndHeld(dfKV("k", "v", Seq((1.0, 1L, Long.MaxValue))))
+    val (two, twoH) = localAndHeld(dfKV("k", "u", Seq((1.0, 1L, 2L))))
+    for ((x, y) <- Seq(big -> two, bigH -> twoH, big -> twoH, bigH -> two))
+      assert(overflows(x.join(y, Seq("k")).entries()), "join")
+    val past = dfKV("k", "v", Seq((1.0, 1L, Long.MaxValue), (1.0, 1L, 1L)))
+    assert(overflows(ZSet.raw(past).consolidate().entries()), "local consolidation")
+    assert(overflows(ZSet.raw(past.localCheckpoint()).consolidate().entries()), "Spark consolidation")
+  }
 }
