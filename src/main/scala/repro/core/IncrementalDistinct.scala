@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
-
 import repro.circuit.Op
 import repro.zset.{Trace, ZSet}
 
@@ -29,37 +27,15 @@ final class IncrementalDistinct extends Op[ZSet, ZSet] {
 
 object IncrementalDistinct {
   /** The H function of Proposition 4.7, evaluated only on the support of `d`:
-    * the integral is first probed with d's tuples, then per-tuple old/new
-    * multiplicities decide the sign flips. With a local `d` and a bounded
-    * probe `im` this is H = distinct(im + d) − distinct(im), on the driver.
-    * A known-zero `d` gives a known zero.
+    * the integral is first probed with d's tuples, giving `im`, and then
+    * H = distinct(im + d) − distinct(im), since supp(im) ⊆ supp(d). With a
+    * local `d` and a bounded probe this runs on the driver. A known-zero `d`
+    * gives a known zero.
     */
   def h(i: ZSet, d: ZSet): ZSet =
     if (d.isKnownZero) d
     else {
-      val keys = d.dataCols
-      val probed = Trace.bounded(i, d, keys)
-      probed.filter(_ => d.isLocal) match {
-        case Some(im) => d.plus(im).distinctZ.minus(im.distinctZ)
-        case None =>
-          val W = ZSet.W
-          val iMatched = probed.getOrElse(Trace.semiJoin(i, d, keys)).consolidate().df
-            .select(keys.map(k => col(k) as s"__i_$k") :+ (col(W) as "__wi"): _*)
-          val dc = d.consolidate().df
-          val joined = dc
-            .join(broadcast(iMatched),
-              keys.map(k => dc(k) <=> col(s"__i_$k")).reduceOption(_ && _).getOrElse(lit(true)), "left_outer")
-            .drop(keys.map(k => s"__i_$k"): _*)
-          val old = coalesce(col("__wi"), lit(0L))
-          val nw  = old + col(W)
-          val hWeight = when(old > 0 && nw <= 0, -1L)
-            .when(old <= 0 && nw > 0, 1L)
-            .otherwise(0L)
-          ZSet.raw(
-            joined
-              .withColumn(W, hWeight)
-              .drop("__wi")
-              .where(col(W) =!= 0))
-      }
+      val im = Trace.probe(i, d, d.dataCols)
+      d.plus(im).distinctZ.minus(im.distinctZ)
     }
 }
