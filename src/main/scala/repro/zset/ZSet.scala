@@ -218,7 +218,6 @@ final class ZSet private (
     def matching(es: Iterator[(Row, Long)]) = es.filter { case (r, _) => wanted(ZSet.keyOf(r, at)) }
     entriesHeld match {
       case Some(es) => Some(ZSet.fromEntries(df, Some(matching(es.iterator))))
-      case None if wanted.isEmpty => Some(ZSet.empty(spark, dataSchema))
       case None if keys.isEmpty && knownCount.exists(_ > LocalLimit) => None
       case None =>
         // Each key column is filtered by its wanted values (a superset of
@@ -316,7 +315,7 @@ final class ZSet private (
     ZSet.fromEntries(plan, for {
       _ <- entriesHeld
       rows <- ZSet.collectLocal(perRow)
-      groups <- ZSet.group(rows.iterator, keys.size, folds)
+      groups <- ZSet.groupRows(rows.iterator, keys.size, folds)
     } yield {
       val out = if (groups.isEmpty && keys.isEmpty) Iterable(Row.fromSeq(aggs.map(_ => null))) else groups
       out.iterator.map(_ -> 1L)
@@ -408,7 +407,7 @@ object ZSet {
     * at most `LocalLimit` rows; collecting those runs no job. Only plans
     * whose every leaf is a local relation are optimized to find out.
     */
-  private[repro] def collectLocal(df: DataFrame): Option[Array[Row]] = {
+  private def collectLocal(df: DataFrame): Option[Array[Row]] = {
     val qe = df.queryExecution
     if (!qe.analyzed.collectLeaves().forall(_.isInstanceOf[LocalRelation])) None
     else qe.optimizedPlan match {
@@ -445,7 +444,7 @@ object ZSet {
     val consolidated = entries.flatMap { es =>
       val rows = es.map { case (r, w) => Row.fromSeq(r.toSeq :+ w) }
       val nData = plan.columns.length - 1
-      group(rows, nData, Seq(sumOf), LocalLimit).map(_.iterator.collect {
+      groupRows(rows, nData, Seq(sumOf), LocalLimit).map(_.iterator.collect {
         case r if r.getLong(nData) != 0L => (Row.fromSeq(r.toSeq.take(nData)), r.getLong(nData))
       }.toVector)
     }
@@ -461,7 +460,7 @@ object ZSet {
     * group together, −0.0 with 0.0, NaN with NaN; keys come out normalized.
     * `None` as soon as there are more than `limit` groups.
     */
-  private[repro] def group(rows: Iterator[Row], nKeys: Int, folds: Seq[(Any, Any) => Any],
+  private def groupRows(rows: Iterator[Row], nKeys: Int, folds: Seq[(Any, Any) => Any],
                            limit: Int = Int.MaxValue): Option[Iterable[Row]] = {
     val groups = mutable.LinkedHashMap.empty[Row, Array[Any]]
     val ok = rows.forall { r =>
@@ -476,7 +475,7 @@ object ZSet {
   }
 
   /** Spark's SUM of two values: nulls ignored, long overflow throws. */
-  private[repro] def sumOf(a: Any, b: Any): Any = (a, b) match {
+  private def sumOf(a: Any, b: Any): Any = (a, b) match {
     case (null, y)             => y
     case (x, null)             => x
     case (x: Long, y: Long)     => Math.addExact(x, y)
@@ -487,7 +486,7 @@ object ZSet {
   /** Spark's MIN of two values: nulls ignored, −0.0 equal to 0.0, NaN above
     * every other double, strings in UTF-8 byte order.
     */
-  private[repro] def minOf(a: Any, b: Any): Any = (a, b) match {
+  private def minOf(a: Any, b: Any): Any = (a, b) match {
     case (null, y) => y
     case (x, null) => x
     case (x, y)    => if (compare(y, x) < 0) y else x

@@ -97,7 +97,8 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
   }
 
   test("entryCount and isEmpty after compact() launch no job") {
-    val a = held(zs2("k", "v", (1L, 10L) -> 2L, (1L, 10L) -> -1L, (2L, 20L) -> 1L, (3L, 30L) -> 0L))
+    val a = ZSet.raw(df2("k", "v", (1L, 10L) -> 2L, (1L, 10L) -> -1L, (2L, 20L) -> 1L, (3L, 30L) -> 0L)
+      .localCheckpoint())
     val (c, compactJobs) = jobsOf(a.compact())
     // Learning the count adds no Spark action to the checkpoint itself.
     val (_, checkpointJobs) = jobsOf(a.consolidate().df.localCheckpoint())

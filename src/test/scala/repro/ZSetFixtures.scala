@@ -19,10 +19,13 @@ trait ZSetFixtures { self: SparkSpec =>
   }
 
   /** Z-set over two long columns from ((v1, v2), weight) pairs. */
-  def zs2(c1: String, c2: String, entries: ((Long, Long), Long)*): ZSet = {
+  def zs2(c1: String, c2: String, entries: ((Long, Long), Long)*): ZSet = ZSet.raw(df2(c1, c2, entries: _*))
+
+  /** The weighted rows of `zs2`, as given. */
+  def df2(c1: String, c2: String, entries: ((Long, Long), Long)*): DataFrame = {
     val spark = self.spark
     import spark.implicits._
-    ZSet.raw(entries.toSeq.map { case ((a, b), w) => (a, b, w) }.toDF(c1, c2, ZSet.W))
+    entries.toSeq.map { case ((a, b), w) => (a, b, w) }.toDF(c1, c2, ZSet.W)
   }
 
   /** Z-set over one string column from (value, weight) pairs. */
@@ -68,6 +71,16 @@ trait ZSetFixtures { self: SparkSpec =>
     val (l, h) = (ZSet.raw(df), ZSet.raw(df.localCheckpoint()))
     assert(l.isLocal && !h.isLocal, "fixture: representations")
     (l, h)
+  }
+
+  /** Each change as a local Z-set, as a Spark-held one, and mixed: the
+    * first change Spark-held (a bulk load), then local on the ticks `local`
+    * picks and Spark-held on the others.
+    */
+  def modes(changes: Seq[DataFrame], local: Int => Boolean = _ % 2 == 1): Seq[(String, Seq[ZSet])] = {
+    val both = changes.map(localAndHeld)
+    Seq("local" -> both.map(_._1), "held" -> both.map(_._2),
+      "mixed" -> both.zipWithIndex.map { case ((l, h), t) => if (t > 0 && local(t)) l else h })
   }
 
   /** Canonical entries for equality assertions. */

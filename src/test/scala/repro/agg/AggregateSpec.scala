@@ -207,21 +207,20 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
       dfKV("k", "v", (ins ++ twice).map { case (k, v) => (k, v, 1L) } ++
         dels.map { case (k, v) => (k, v, -1L) } ++ Seq((cancel._1, cancel._2, 1L), (cancel._1, cancel._2, -1L)))
     }
-    val both = changes.map(localAndHeld)
-    val modes = Seq("local" -> both.map(_._1), "held" -> both.map(_._2),
-      "mixed" -> both.zipWithIndex.map { case ((l, h), t) => if (t % 2 == 1) l else h })
+    val inputs = modes(changes)
+    val local = inputs.head._2
     for (f <- Seq(AggFunc.Count(), AggFunc.Sum("v"), AggFunc.Avg("v"), AggFunc.Min("v")); keys <- Seq(Seq("k"), Nil)) {
-      val outs = modes.map { case (m, ds) =>
+      val outs = inputs.map { case (m, ds) =>
         val op = new IncrementalGroupAggregate(keys, f)
         m -> ds.map(op.step)
       }
-      var inAcc = ZSet.empty(spark, both.head._1.dataSchema)
+      var inAcc = ZSet.empty(spark, local.head.dataSchema)
       var outAcc = ZSet.empty(spark, outs.head._2.head.dataSchema)
       for (t <- changes.indices) {
         val label = s"$f by ${keys.mkString(",")} tick $t"
         val es = outs.map { case (m, o) => m -> o(t).entries() }
         assert(es.map(_._2).distinct.size == 1, s"$label: $es")
-        inAcc = inAcc.plus(both(t)._1)
+        inAcc = inAcc.plus(local(t))
         outAcc = outAcc.plus(outs.head._2(t))
         assert(outAcc.zequals(GroupAggregate.batch(inAcc, keys, f)), s"$label: against batch")
       }

@@ -176,16 +176,6 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures {
 
   // ------------------------------- local and Spark-held changes agree
 
-  /** Each change as a local Z-set, as a Spark-held one, and mixed: a
-    * Spark-held first change (a bulk load), then local on the ticks `local`
-    * picks and Spark-held on the others.
-    */
-  private def modes(changes: Seq[DataFrame], local: Int => Boolean = _ % 2 == 1): Seq[(String, Seq[ZSet])] = {
-    val both = changes.map(localAndHeld)
-    Seq("local" -> both.map(_._1), "held" -> both.map(_._2),
-      "mixed" -> both.zipWithIndex.map { case ((l, h), t) => if (t > 0 && local(t)) l else h })
-  }
-
   /** The other operand's mixed stream: local where the first one is held. */
   private val otherTicks: Int => Boolean = _ % 2 == 0
 
