@@ -1,8 +1,8 @@
 package repro.harness
 
-/** Tiny reporting helpers shared by the bench suites and the spark-submit
-  * jobs: wall-clock timing and aligned-markdown table rendering, so each
-  * experiment prints rows diffable against EXPERIMENTS.md.
+/** Tiny reporting helpers shared by the experiments: wall-clock timing and
+  * aligned-markdown table rendering, so each experiment prints rows diffable
+  * against EXPERIMENTS.md.
   */
 object Report {
 

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 
 import repro.SynthData
-import repro.harness.Report
+import repro.harness.{Check, Experiment, Report}
 import repro.relational.Rel._
 import repro.relational.{Incrementalizer, Rel}
 import repro.zset.ZSet
@@ -17,10 +17,28 @@ import repro.zset.ZSet
   * time and rows-touched of the incremental circuit (Algorithm 4.8, work
   * O(C)) against the naïve lifted circuit (step 4 only, work O(R)).
   */
-object E1RelationalIvm {
+object E1RelationalIvm extends Experiment {
 
+  final case class Size(sf: Double, deltaFracs: Seq[Double])
+  type Result = Seq[Row]
   final case class Row(deltaRows: Long, baseRows: Long,
                        incMs: Double, naiveMs: Double, incOut: Long)
+
+  val id = "E1"
+  val full: Size = Size(sf = 0.1, deltaFracs = Seq(0.0001, 0.001, 0.01, 0.1))
+  val toy: Size = Size(sf = 0.002, deltaFracs = Seq(0.001, 0.01, 0.1))
+
+  /** §4.5: the incremental circuit wins when C ≪ R, and its advantage
+    * shrinks as C → R.
+    */
+  def checks(rows: Seq[Row]): Seq[Check] = {
+    val speedups = rows.map(r => r.naiveMs / r.incMs)
+    Seq(
+      Check(s"at the smallest delta incremental (${rows.head.incMs} ms) is faster than naïve " +
+        s"(${rows.head.naiveMs} ms)", wallClock = true, holds = rows.head.incMs < rows.head.naiveMs),
+      Check(s"the speedup does not grow as C → R: $speedups", wallClock = true,
+        holds = speedups.head >= speedups.last * 0.8))
+  }
 
   val query: Rel =
     Project(
@@ -30,7 +48,8 @@ object E1RelationalIvm {
         "o_totalprice > 100000"),
       Seq("o_orderkey", "c_mktsegment"))
 
-  def run(spark: SparkSession, sf: Double, deltaFracs: Seq[Double]): Seq[Row] = {
+  def run(spark: SparkSession, size: Size): Seq[Row] = {
+    val Size(sf, deltaFracs) = size
     val ordersAll = SynthData.orders(spark, sf)
       .select("o_orderkey", "o_custkey", "o_totalprice")
       .localCheckpoint()

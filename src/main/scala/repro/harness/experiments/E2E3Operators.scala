@@ -5,8 +5,8 @@ import org.apache.spark.sql.functions._
 
 import repro.SynthData
 import repro.core.{IncrementalDistinct, IncrementalJoin}
-import repro.harness.Report
-import repro.zset.ZSet
+import repro.harness.{Check, Experiment, Report}
+import repro.zset.{Trace, ZSet}
 
 /** Experiment E2 — Theorem 3.4: incremental equi-join cost scales with the
   * change size C, not the relation size R. The incremental operator's first
@@ -14,12 +14,23 @@ import repro.zset.ZSet
   * exercises the real plan shape, then changes of size C are applied (best
   * of three); the baseline re-joins the full integrals.
   */
-object E2IncrementalJoin {
+object E2IncrementalJoin extends Experiment {
 
+  final case class Size(baseRows: Long, nKeys: Long, deltaSizes: Seq[Long])
+  type Result = Seq[Row]
   final case class Row(deltaRows: Long, baseRows: Long, incMs: Double,
                        fullMs: Double, outRows: Long)
 
-  def run(spark: SparkSession, baseRows: Long, nKeys: Long, deltaSizes: Seq[Long]): Seq[Row] = {
+  val id = "E2"
+  val full: Size = Size(baseRows = 1000000, nKeys = 100000, deltaSizes = Seq(100, 1000, 10000, 100000))
+  val toy: Size = Size(baseRows = 2000, nKeys = 200, deltaSizes = Seq(2, 20, 200))
+
+  def checks(rows: Seq[Row]): Seq[Check] = Seq(Check(
+    s"incremental join wins at ≥ 2 of the 3 smallest deltas: speedups ${rows.map(r => r.fullMs / r.incMs)}",
+    wallClock = true, holds = rows.take(3).count(r => r.incMs < r.fullMs) >= 2))
+
+  def run(spark: SparkSession, size: Size): Seq[Row] = {
+    val Size(baseRows, nKeys, deltaSizes) = size
     val a = ZSet.fromBag(SynthData.uniformKeys(spark, baseRows, nKeys, seed = 1)
       .select(col("k"), (col("v") * 1000).cast("long") as "va")).compact()
     val b = ZSet.fromBag(SynthData.uniformKeys(spark, baseRows, nKeys, seed = 2)
@@ -60,8 +71,10 @@ object E2IncrementalJoin {
 }
 
 /** Experiment E3 — Proposition 4.7: incremental distinct *aggregates* only
-  * the change's support (O(C) rows enter the multiplicity computation),
-  * versus a full re-distinct that re-aggregates the whole integral (O(R)).
+  * the change's support (O(C) rows enter the multiplicity computation: the
+  * change and its matches in the integral, measured by probing the integral
+  * as H does), versus a full re-distinct that re-aggregates the whole
+  * integral (O(R)).
   *
   * Wall-clock carries a substrate caveat: DataFrames have no indexed state,
   * so the incremental probe still *scans* the stored integral once per tick
@@ -70,12 +83,32 @@ object E2IncrementalJoin {
   * (incremental time is flat in C — it is the scan — while its aggregated
   * work is C versus the baseline's R).
   */
-object E3IncrementalDistinct {
+object E3IncrementalDistinct extends Experiment {
 
+  final case class Size(baseRows: Long, nKeys: Long, deltaSizes: Seq[Long])
+  type Result = Seq[Row]
   final case class Row(deltaRows: Long, baseRows: Long, incMs: Double, fullMs: Double,
                        aggRowsInc: Long, aggRowsFull: Long, outRows: Long)
 
-  def run(spark: SparkSession, baseRows: Long, nKeys: Long, deltaSizes: Seq[Long]): Seq[Row] = {
+  val id = "E3"
+  val full: Size = Size(baseRows = 1000000, nKeys = 600000, deltaSizes = Seq(100, 1000, 10000, 100000))
+  val toy: Size = Size(baseRows = 2000, nKeys = 1200, deltaSizes = Seq(2, 20, 200))
+
+  /** §4.5: the incremental work is O(C) against the recompute's O(R). The
+    * wall-clock keeps a scan floor (no indexed state), so its check is
+    * flatness in C.
+    */
+  def checks(rows: Seq[Row]): Seq[Check] = {
+    val incTimes = rows.map(_.incMs)
+    Seq(
+      Check(s"at the smallest delta the work ratio ${rows.head.aggRowsFull} / ${rows.head.aggRowsInc} is ≥ 20",
+        wallClock = false, holds = rows.head.aggRowsFull / rows.head.aggRowsInc >= 20),
+      Check(s"incremental time is about flat in C (max/min < 20): $incTimes", wallClock = true,
+        holds = incTimes.max / incTimes.min < 20.0))
+  }
+
+  def run(spark: SparkSession, size: Size): Seq[Row] = {
+    val Size(baseRows, nKeys, deltaSizes) = size
     // A high-cardinality bag (so the integral physically holds ~R distinct
     // tuples) plus blocks of unique singleton keys that the deltas retract;
     // fresh keys live beyond all used ranges.
@@ -93,20 +126,23 @@ object E3IncrementalDistinct {
         .select(col("id") as "k"))
     // Blocks 0–3 are retractable (in the base); 4–7 are the fresh inserts.
     val base = bagPart.plus(block(0)).plus(block(1)).plus(block(2)).plus(block(3)).compact()
+    val warm = block(4).plus(block(0).negate).compact()
     val deltas = (0 until 3).map(r => block(r + 5).plus(block(r + 1).negate).compact())
     val baseEntries = base.entryCount
 
     val inc = new IncrementalDistinct
     inc.step(base) // bulk load; the output is a plan nobody runs
-    inc.step(block(4).plus(block(0).negate).compact()).physicalCount // warm-up tick
+    inc.step(warm).physicalCount // warm-up tick
     val (outRows, incMs) = Report.timedBest(deltas.map(d => () => inc.step(d).physicalCount))
     val (_, fullMs) = Report.timedBest(deltas.map(d => () =>
       base.plus(d).distinctZ.physicalCount))
-    // Work accounting (§4.5): the incremental H aggregates only the touched
-    // keys' rows (≤ 2·C: the change plus its matches in the integral); the
-    // full recompute re-aggregates every stored row.
-    Row(c, baseRows, incMs, fullMs, aggRowsInc = 2 * c, aggRowsFull = baseEntries + c,
-      outRows = outRows)
+    // Work accounting (§4.5): the incremental H aggregates the change plus
+    // the rows a probe of the integral before it returns, the most over the
+    // measured ticks; the full recompute re-aggregates every stored row.
+    val before = deltas.scanLeft(base.plus(warm))(_ plus _)
+    val aggRowsInc = deltas.zip(before).map { case (d, i) =>
+      d.entryCount + Trace.probe(i, d, d.dataCols).physicalCount }.max
+    Row(c, baseRows, incMs, fullMs, aggRowsInc, aggRowsFull = baseEntries + c, outRows = outRows)
   }
 
   val headers: Seq[String] =

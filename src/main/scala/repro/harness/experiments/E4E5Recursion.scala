@@ -3,7 +3,7 @@ package repro.harness.experiments
 import org.apache.spark.sql.SparkSession
 
 import repro.SynthGraph
-import repro.harness.Report
+import repro.harness.{Check, Experiment, Report}
 import repro.nested.IncrementalTransitiveClosure
 import repro.recursive.TransitiveClosure
 import repro.zset.ZSet
@@ -14,15 +14,30 @@ import repro.zset.ZSet
   * semi-naïve — Algorithm 1 vs Algorithm 2 of [11], derived in DBSP by the
   * cycle rule.
   */
-object E4SemiNaive {
+object E4SemiNaive extends Experiment {
 
+  final case class Size(layers: Int, width: Int, fanout: Int)
   final case class Result(
       closureSize: Long,
       naiveIters: Int, semiIters: Int,
       naiveWork: Seq[Long], semiWork: Seq[Long],
       naiveMs: Double, semiMs: Double)
 
-  def run(spark: SparkSession, layers: Int, width: Int, fanout: Int): Result = {
+  val id = "E4"
+  val full: Size = Size(layers = 8, width = 40, fanout = 3)
+  val toy: Size = Size(layers = 4, width = 5, fanout = 2)
+
+  /** Beside the equal fixpoints `run` requires: semi-naïve derives fewer
+    * tuples in total, and no more than naïve in any iteration.
+    */
+  def checks(r: Result): Seq[Check] = Seq(
+    Check(s"semi-naïve total ${r.semiWork.sum} < naïve total ${r.naiveWork.sum}", wallClock = false,
+      holds = r.semiWork.sum < r.naiveWork.sum),
+    Check(s"semi-naïve ≤ naïve per iteration: ${r.semiWork} vs ${r.naiveWork}", wallClock = false,
+      holds = r.semiWork.zip(r.naiveWork).forall { case (d, f) => d <= f }))
+
+  def run(spark: SparkSession, size: Size): Result = {
+    val Size(layers, width, fanout) = size
     val e = ZSet.fromSet(SynthGraph.layeredEdges(spark, layers, width, fanout)).compact()
     val ((rn, sn), naiveMs) = Report.timed(TransitiveClosure.naive(e))
     val ((rs, ss), semiMs) = Report.timed(TransitiveClosure.semiNaive(e))
@@ -55,14 +70,32 @@ object E4SemiNaive {
   * tuples derived (the paper's claim is about the latter: work proportional
   * to the changes, at the price of per-iteration state).
   */
-object E5IncrementalRecursion {
+object E5IncrementalRecursion extends Experiment {
 
+  final case class Size(layers: Int, width: Int, fanout: Int)
+  type Result = Seq[Row]
   final case class Row(update: String, incMs: Double, incTuples: Long,
                        scratchMs: Double, scratchTuples: Long, viewDelta: Long)
 
-  def run(spark: SparkSession, layers: Int, width: Int, fanout: Int,
-          updates: Seq[(Long, Long, Long)] /* (h, t, weight) */): Seq[Row] = {
+  val id = "E5"
+  val full: Size = Size(layers = 7, width = 40, fanout = 3)
+  val toy: Size = Size(layers = 7, width = 5, fanout = 2)
+
+  /** §6.2: per update, the incremental circuit derives a small fraction of
+    * the tuples a from-scratch semi-naïve recompute derives.
+    */
+  def checks(rows: Seq[Row]): Seq[Check] = rows.drop(1).map(r => Check(
+    s"${r.update}: inc tuples ${r.incTuples} < scratch ${r.scratchTuples} / 2", wallClock = false,
+    holds = r.incTuples < r.scratchTuples / 2))
+
+  def run(spark: SparkSession, size: Size): Seq[Row] = {
     import spark.implicits._
+    val Size(layers, width, fanout) = size
+    val updates = Seq[(Long, Long, Long)]( // (h, t, weight)
+      (0L, 6L * width, 1L),                 // long-range insert (new shortcuts)
+      (2L * width + 1, 2L * width + 2, 1L), // local insert within a layer
+      (0L, 6L * width, -1L),                // delete the shortcut again
+      (width.toLong, 2L * width, 1L))       // cross-layer insert
     val e0 = ZSet.fromSet(SynthGraph.layeredEdges(spark, layers, width, fanout)).compact()
 
     val itc = new IncrementalTransitiveClosure(spark)

@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 import repro.SynthData
 import repro.agg.{AggFunc, GroupAggregate, IncrementalGroupAggregate}
 import repro.core.ZSetOps
-import repro.harness.Report
+import repro.harness.{Check, Experiment, Report}
 import repro.streaming.WindowIntegrate
 import repro.zset.ZSet
 
@@ -15,12 +15,25 @@ import repro.zset.ZSet
   * the stored integral of the touched groups (brute force); both are
   * compared against a full batch recompute on every change.
   */
-object E6Aggregates {
+object E6Aggregates extends Experiment {
 
+  final case class Size(sf: Double, deltaSizes: Seq[Long])
+  type Result = Seq[Row]
   final case class Row(agg: String, deltaRows: Long, baseRows: Long, groups: Long,
                        incMs: Double, fullMs: Double)
 
-  def run(spark: SparkSession, sf: Double, deltaSizes: Seq[Long]): Seq[Row] = {
+  val id = "E6"
+  val full: Size = Size(sf = 0.2, deltaSizes = Seq(100, 1000, 10000))
+  val toy: Size = Size(sf = 0.002, deltaSizes = Seq(10, 100))
+
+  def checks(rows: Seq[Row]): Seq[Check] = {
+    val small = rows.filter(_.agg.startsWith("SUM")).minBy(_.deltaRows)
+    Seq(Check(s"at the smallest delta incremental SUM (${small.incMs} ms) is faster than the " +
+      s"recompute (${small.fullMs} ms)", wallClock = true, holds = small.incMs < small.fullMs))
+  }
+
+  def run(spark: SparkSession, size: Size): Seq[Row] = {
+    val Size(sf, deltaSizes) = size
     val li = SynthData.lineitem(spark, sf)
       .select("l_partkey", "l_quantity", "l_orderkey")
       .localCheckpoint()
@@ -64,12 +77,33 @@ object E6Aggregates {
   * circuit's state stays bounded at the window size while the unbounded
   * integral grows linearly — same output, constant-ish per-tick cost.
   */
-object E7Window {
+object E7Window extends Experiment {
 
+  final case class Size(ticks: Int, rowsPerTick: Long, width: Double)
+  type Result = Seq[Row]
   final case class Row(tick: Int, arrived: Long, windowState: Long, integralRows: Long,
                        windowMs: Double, bruteMs: Double)
 
-  def run(spark: SparkSession, ticks: Int, rowsPerTick: Long, width: Double): Seq[Row] = {
+  val id = "E7"
+  val full: Size = Size(ticks = 8, rowsPerTick = 20000, width = 25.0)
+  val toy: Size = Size(ticks = 6, rowsPerTick = 200, width = 25.0)
+
+  /** The integral holds every event ever seen; the window state (width 25,
+    * about 2.5 ticks) stays well below it, and the window's per-tick cost
+    * does not grow with history (last tick against the first after warm-up).
+    */
+  def checks(rows: Seq[Row]): Seq[Check] = {
+    val (last, warm) = (rows.last, rows.drop(2))
+    Seq(
+      Check(s"window state ${last.windowState} < integral ${last.integralRows} / 2", wallClock = false,
+        holds = last.windowState < last.integralRows / 2),
+      Check(s"the last window tick (${warm.last.windowMs} ms) is < 5 × the first after warm-up " +
+        s"(${warm.head.windowMs} ms) + 2000 ms", wallClock = true,
+        holds = warm.last.windowMs < warm.head.windowMs * 5 + 2000))
+  }
+
+  def run(spark: SparkSession, size: Size): Seq[Row] = {
+    val Size(ticks, rowsPerTick, width) = size
     val w = new WindowIntegrate("ts", width)
     val integrate = ZSetOps.integrate
     (0 until ticks).map { t =>

@@ -4,20 +4,30 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 
 import repro.core.ZSetOps
-import repro.harness.{Changes, Report}
+import repro.harness.{Changes, Check, Experiment, Report}
 import repro.relational.Rel._
 import repro.relational.{Incrementalizer, Rel}
 import repro.zset.ZSet
 
-/** Experiment T1 — the Table 1 operator matrix at benchmark scale: every
-  * relational operator is maintained incrementally over a change stream
-  * (inserts + deletes) and checked tick-by-tick against the naïve lifted
-  * circuit. Reports per-tick cost for both and a correctness verdict.
+/** Experiment T1 — the Table 1 operator matrix: every relational operator
+  * is maintained incrementally over a change stream (inserts + deletes) and
+  * checked tick-by-tick against the naïve lifted circuit. Reports per-tick
+  * cost for both and a correctness verdict.
   */
-object T1OperatorMatrix {
+object T1OperatorMatrix extends Experiment {
 
+  final case class Size(baseRows: Long, ticks: Int)
+  type Result = Seq[Row]
   final case class Row(op: String, ticks: Int, incMsPerTick: Double,
                        naiveMsPerTick: Double, viewRows: Long, ok: Boolean)
+
+  val id = "T1"
+  val full: Size = Size(baseRows = 50000, ticks = 3)
+  val toy: Size = Size(baseRows = 200, ticks = 2)
+
+  def checks(rows: Seq[Row]): Seq[Check] = Seq(Check(
+    s"all 10 operators: incremental ≡ naïve lifted (mismatches: ${rows.filterNot(_.ok).map(_.op)})",
+    wallClock = false, holds = rows.size == 10 && rows.forall(_.ok)))
 
   private def operators: Seq[(String, Rel)] = Seq(
     "σ (WHERE)"        -> Select(Table("ta"), "x % 7 < 3"),
@@ -31,8 +41,9 @@ object T1OperatorMatrix {
     "▷ (ANTIJOIN)"     -> AntiJoin(Table("ta"), Table("tc"), Seq("y")),
     "distinct"         -> Distinct(UnionAll(Table("ta"), Table("tb"))))
 
-  def run(spark: SparkSession, baseRows: Long, ticks: Int): Seq[Row] = {
+  def run(spark: SparkSession, size: Size): Seq[Row] = {
     import repro.SynthData
+    val Size(baseRows, ticks) = size
     val ta = ZSet.fromSet(SynthData.uniformKeys(spark, baseRows, baseRows / 2, seed = 101)
       .select(col("k") as "x", (col("v") * 500).cast("long") as "y"))
     val tb = ZSet.fromSet(SynthData.uniformKeys(spark, baseRows, baseRows / 2, seed = 102)

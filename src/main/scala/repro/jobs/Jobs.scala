@@ -1,0 +1,16 @@
+package repro.jobs
+
+import org.apache.spark.sql.SparkSession
+
+/** The Spark session of the experiments, the tests and the benchmark. */
+object Jobs {
+  def session(app: String): SparkSession =
+    SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(app)
+      .config("spark.sql.shuffle.partitions",
+        sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.ui.enabled", "false")
+      .getOrCreate()
+}

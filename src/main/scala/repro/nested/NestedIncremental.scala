@@ -57,10 +57,14 @@ final class NestedIncrementalBilinear[A, B, C](times: (A, B) => C)(
   * }}}
   * over the four corners c₁₁ = c(t₁,t₂), c₁₀ = c(t₁,t₂−1), c₀₁ = c(t₁−1,t₂),
   * c₀₀ = c(t₁−1,t₂−1). A key can only contribute when one of the two
-  * *column deltas* e₁ = c₁₁−c₁₀ = I(d)[t₁][t₂] or e₀ = c₀₁−c₀₀ =
-  * I(d)[t₁−1][t₂] is non-zero on it, so the work per step is proportional to
-  * the size of those changes — while the stored per-iteration integrals give
-  * the §6.2 space bound (proportional to iterations × relation size).
+  * *column deltas* e₁ = c₁₁−c₁₀ = Iₒ(d)[t₁][t₂] or e₀ = c₀₁−c₀₀ =
+  * Iₒ(d)[t₁−1][t₂] is non-zero on it. These are columns of the outer
+  * integral of the input, not of this transaction's change, so the candidate
+  * set supp(e₁) ∪ supp(e₀) is O(R) keys: on a 5×20 DAG a single-edge update
+  * probes 330–685 keys per inner step where its row prefix has 3–32.
+  * Taking the double difference along the row axis instead would make it
+  * change-sized (ROADMAP, open item 3). The stored per-iteration integrals
+  * give the §6.2 space bound (proportional to iterations × relation size).
   */
 final class NestedIncrementalDistinct(implicit g: Group[ZSet]) {
   // Outer integral of the input per inner index; read-before-update gives e₀.
@@ -113,14 +117,14 @@ object NestedIncrementalDistinct {
       val cand = support(e1).plus(support(e0)).distinctZ
 
       // Probe the big cumulative corners with the candidate keys first, then
-      // aggregate the small rest.
-      def ren(z: ZSet, n: String) =
-        broadcast(Trace.probe(z, cand, keys).consolidate().df.withColumnRenamed(W, n))
-      val joined = cand.df.drop(W)
-        .join(ren(c10, "__c10"), keys, "left_outer")
-        .join(ren(c00, "__c00"), keys, "left_outer")
-        .join(ren(e1, "__e1"), keys, "left_outer")
-        .join(ren(e0, "__e0"), keys, "left_outer")
+      // join the small rest to the candidates, null keys matching null.
+      val joined = Seq(c10 -> "__c10", c00 -> "__c00", e1 -> "__e1", e0 -> "__e0")
+        .foldLeft(cand.df.drop(W)) { case (acc, (z, n)) =>
+          val corner = Trace.probe(z, cand, keys).consolidate().df
+            .select(keys.map(k => col(k) as s"$n$k") :+ (col(W) as n): _*)
+          val on = keys.map(k => col(k) <=> col(s"$n$k")).reduceOption(_ && _).getOrElse(lit(true))
+          acc.join(broadcast(corner), on, "left_outer").drop(keys.map(k => s"$n$k"): _*)
+        }
 
       val w10 = coalesce(col("__c10"), lit(0L))
       val w00 = coalesce(col("__c00"), lit(0L))

@@ -7,7 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.jobs.Jobs
 
 /** Base for every test: one local-mode SparkSession for the whole run,
-  * built by `Jobs.session` with the spark-submit entrypoints' config.
+  * built by `Jobs.session` with the experiments' config.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup

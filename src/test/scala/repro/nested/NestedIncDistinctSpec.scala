@@ -16,10 +16,17 @@ class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
   private val schema = StructType(Seq(StructField("k", LongType, nullable = false)))
   private implicit lazy val g: Group[ZSet] = ZSet.group(spark, schema)
 
-  private def randDelta(rnd: Random): ZSet = {
+  /** Up to two random entries over the keys 0–3, or, `withNull`, over a
+    * nullable `k` whose keys 0 and 1 become null.
+    */
+  private def randDelta(rnd: Random, withNull: Boolean = false): ZSet = {
+    val s = spark
+    import s.implicits._
     val n = rnd.nextInt(3)
+    val es = Seq.fill(n)((rnd.nextInt(4).toLong, rnd.nextInt(5) - 2L)).filter(_._2 != 0L)
     if (n == 0) ZSet.empty(spark, schema)
-    else zs1("k", Seq.fill(n)((rnd.nextInt(4).toLong, rnd.nextInt(5) - 2L)).filter(_._2 != 0L): _*)
+    else if (!withNull) zs1("k", es: _*)
+    else ZSet.raw(es.map { case (k, w) => (Option(k).filter(_ > 1), w) }.toDF("k", ZSet.W))
   }
 
   private def runBoth(matrix: Seq[Seq[ZSet]]): Unit = {
@@ -37,10 +44,10 @@ class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
 
   test("≡ brute force on randomized rectangular nested change streams") {
     val rnd = new Random(41)
-    for (trial <- 0 until 3) {
+    for (withNull <- Seq(false, true); trial <- 0 until 3) {
       val rows = 2 + rnd.nextInt(2)
       val cols = 2 + rnd.nextInt(2)
-      runBoth(Seq.fill(rows)(Seq.fill(cols)(randDelta(rnd))))
+      runBoth(Seq.fill(rows)(Seq.fill(cols)(randDelta(rnd, withNull))))
     }
   }
 

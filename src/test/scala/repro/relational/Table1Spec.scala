@@ -1,6 +1,5 @@
 package repro.relational
 
-import repro.harness.experiments.T1OperatorMatrix
 import repro.zset.ZSet
 import repro.{Oracle, SparkSpec, ZSetFixtures}
 
@@ -155,11 +154,5 @@ class Table1Spec extends SparkSpec with ZSetFixtures with RelChecks {
   test("nested set ops: incremental") {
     val q = Except(Union(Table("ta"), Table("tb")), Intersect(Table("ta"), Table("tb")))
     incrementalCheck(q, "ta" -> ta, "tb" -> tb)
-  }
-
-  test("T1 operator matrix at toy size: every operator's incremental ≡ naïve lifted") {
-    val rows = T1OperatorMatrix.run(spark, baseRows = 200, ticks = 2)
-    assert(rows.size == 10)
-    rows.foreach(r => assert(r.ok, s"${r.op}: incremental ≠ naïve"))
   }
 }
