@@ -44,9 +44,14 @@ final class NestedIncrementalRunner(circuit: ZExpr) extends Runner with CircuitI
   *   ΔI → ↑δ₀ → (↑(↑distinct ∘ ↑body)^Δ)^Δ with ↑z⁻¹ feedback → ↑∫ → ΔR
   * }}}
   * Each `step` takes one transaction's input changes and returns the view
-  * change, with work proportional to the changes flowing through the loop
-  * (§6.2). Past every earlier transaction's last iteration the outer state
-  * is zero, so the loop may stop at the first zero delta from there on.
+  * change. The bilinear nodes pair each change with an integral, but the
+  * distinct probes with the keys of an outer integral, O(R) of them (see
+  * [[NestedIncrementalDistinct]]), so a step's work is not yet proportional
+  * to the changes flowing through the loop as §6.2 bounds it. Past every
+  * earlier transaction's last iteration the outer state is zero, so the
+  * loop may stop at the first zero delta from there on; running at least
+  * that many iterations keeps every row at least as long as the earlier
+  * ones, which the nested distinct requires.
   */
 final class IncrementalFixpoint(body: ZExpr, recEmpty: ZSet, maxIter: Int = Fixpoint.DefaultMaxIter) {
   private val runner = new NestedIncrementalRunner(ZDistinct(body))

@@ -29,15 +29,19 @@ class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
     else ZSet.raw(es.map { case (k, w) => (Option(k).filter(_ > 1), w) }.toDF("k", ZSet.W))
   }
 
-  private def runBoth(matrix: Seq[Seq[ZSet]]): Unit = {
+  /** Runs the operator and the brute force side by side, asserting every
+    * cell equal, and returns the operator's cells.
+    */
+  private def runBoth(matrix: Seq[Seq[ZSet]]): Seq[Seq[ZSet]] = {
     val opt = new NestedIncrementalDistinct
     val brute = new NestedIncrementalUnaryBrute[ZSet, ZSet](_.distinctZ)
-    matrix.zipWithIndex.foreach { case (row, t1) =>
+    matrix.zipWithIndex.map { case (row, t1) =>
       opt.newOuterTick(); brute.newOuterTick()
-      row.zipWithIndex.foreach { case (d, t2) =>
+      row.zipWithIndex.map { case (d, t2) =>
         val o = opt.step(d)
         val b = brute.step(d)
         assert(o.zequals(b), s"mismatch at ($t1, $t2): opt=${o.entries()} brute=${b.entries()}")
+        o
       }
     }
   }
@@ -48,6 +52,18 @@ class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
       val rows = 2 + rnd.nextInt(2)
       val cols = 2 + rnd.nextInt(2)
       runBoth(Seq.fill(rows)(Seq.fill(cols)(randDelta(rnd, withNull))))
+    }
+    // Ragged: each row 1–4 long, so a row may be shorter than an earlier one.
+    for (withNull <- Seq(false, true); trial <- 0 until 12)
+      runBoth(Seq.fill(3)(Seq.fill(1 + rnd.nextInt(4))(randDelta(rnd, withNull))))
+    // Rows that never get shorter, the fixpoint's shape, agree with their
+    // zero-padded rectangular run on every cell they compute.
+    for (withNull <- Seq(false, true); trial <- 0 until 2) {
+      val lengths = Seq.fill(3)(1 + rnd.nextInt(4)).sorted
+      val ragged = lengths.map(n => Seq.fill(n)(randDelta(rnd, withNull)))
+      val padded = runBoth(ragged.map(_.padTo(lengths.max, ZSet.empty(spark, schema))))
+      for ((row, t1) <- runBoth(ragged).zipWithIndex; (o, t2) <- row.zipWithIndex)
+        assert(o.zequals(padded(t1)(t2)), s"ragged ≠ padded at ($t1, $t2)")
     }
   }
 
@@ -70,14 +86,14 @@ class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
     assert(entriesOf(o11) == Set((Seq("7"), -1L)))
   }
 
-  test("doubleH evaluates only on the union of the column-delta supports") {
-    val c10 = zs1("k", (1L to 20L).map(k => k -> 1L): _*)
-    val c00 = c10
-    val e1 = zs1("k", 3L -> -1L)
-    val e0 = zs1("k", 5L -> 1L)
-    val out = NestedIncrementalDistinct.doubleH(c10, c00, e1, e0)
+  test("cell (1, 1) retracts a key that drops to zero and cancels a key that stays positive") {
+    // Corners at (1, 1): c₁₀ = c₀₀ = {1..20}, c₁₁ = c₁₀ + {3: −1}, c₀₁ = c₀₀ + {5: +1}.
+    val e = ZSet.empty(spark, schema)
+    val out = runBoth(Seq(
+      Seq(zs1("k", (1L to 20L).map(k => k -> 1L): _*), zs1("k", 5L -> 1L)),
+      Seq(e, zs1("k", 3L -> -1L, 5L -> -1L))))
     // key 3: f(0)−f(1) − (f(1)−f(1)) = −1; key 5: f(1)−f(1) − (f(2)−f(1)) = 0.
-    assert(entriesOf(out) == Set((Seq("3"), -1L)))
+    assert(entriesOf(out(1)(1)) == Set((Seq("3"), -1L)))
   }
 
   test("integrating the nested output over both times reconstructs distinct of the total") {
