@@ -25,9 +25,19 @@ sealed abstract class IncrementalBilinear(keys: Seq[String], times: (ZSet, ZSet)
     val dbc = db.compact()
     val (a, b) = (ia.append(dac), ib.append(dbc))
     times(dac.broadcastHint, dbc)
-      .plus(Trace.bounded(a, dbc, keys).fold(times(a, dbc.broadcastHint))(times(_, dbc)))
-      .plus(Trace.bounded(b, dac, keys).fold(times(dac.broadcastHint, b))(times(dac, _)))
+      .plus(IncrementalBilinear.probed(a, dbc, keys)(times))
+      .plus(IncrementalBilinear.probed(b, dac, keys)((s, c) => times(c, s)))
   }
+}
+
+object IncrementalBilinear {
+  /** The product of a `state` (an integral) with a `change`, `times` taking
+    * them in that order: the state probed with the change's `keys` and the
+    * product finished on the driver when the probe is bounded
+    * ([[Trace.bounded]]), else the product with the change side broadcast.
+    */
+  def probed(state: ZSet, change: ZSet, keys: Seq[String])(times: (ZSet, ZSet) => ZSet): ZSet =
+    Trace.bounded(state, change, keys).fold(times(state, change.broadcastHint))(times(_, change))
 }
 
 /** The incremental equi-join ⋈ on the shared `keys` columns. */

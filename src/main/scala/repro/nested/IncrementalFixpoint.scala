@@ -24,14 +24,14 @@ final class NestedIncrementalRunner(circuit: ZExpr) extends Runner with CircuitI
     distincts.values.foreach(_.newOuterTick())
   }
 
-  private def bilinear(node: ZExpr, a: ZSet, b: ZSet)(times: (ZSet, ZSet) => ZSet): ZSet =
-    bilinears.getOrElseUpdate(node, new NestedIncrementalBilinear(times)(
+  private def bilinear(node: ZExpr, a: ZSet, b: ZSet, keys: Seq[String])(times: (ZSet, ZSet) => ZSet): ZSet =
+    bilinears.getOrElseUpdate(node, new NestedIncrementalBilinear(Bilinear.zsets(keys)(times))(
       ZSet.groupOf(a), ZSet.groupOf(b), ZSet.groupOf(times(a, b)))).step(a, b)
 
   protected def join(node: ZJoin, a: ZSet, b: ZSet, keys: Seq[String]): ZSet =
-    bilinear(node, a, b)(_.join(_, keys))
+    bilinear(node, a, b, keys)(_.join(_, keys))
   protected def cross(node: ZCross, a: ZSet, b: ZSet): ZSet =
-    bilinear(node, a, b)(_.cartesian(_))
+    bilinear(node, a, b, Nil)(_.cartesian(_))
   protected def distinct(node: ZDistinct, in: ZSet): ZSet =
     distincts.getOrElseUpdate(node, new NestedIncrementalDistinct()(ZSet.groupOf(in))).step(in)
 
@@ -44,14 +44,13 @@ final class NestedIncrementalRunner(circuit: ZExpr) extends Runner with CircuitI
   *   ΔI → ↑δ₀ → (↑(↑distinct ∘ ↑body)^Δ)^Δ with ↑z⁻¹ feedback → ↑∫ → ΔR
   * }}}
   * Each `step` takes one transaction's input changes and returns the view
-  * change. The bilinear nodes pair each change with an integral, but the
-  * distinct probes with the keys of an outer integral, O(R) of them (see
-  * [[NestedIncrementalDistinct]]), so a step's work is not yet proportional
-  * to the changes flowing through the loop as §6.2 bounds it. Past every
+  * change. Every nested node probes its state with values of this
+  * transaction alone (see [[NestedIncrementalBilinear]] and
+  * [[NestedIncrementalDistinct]]): with local changes an iteration launches
+  * only bounded probes, and an empty transaction no Spark job. Past every
   * earlier transaction's last iteration the outer state is zero, so the
-  * loop may stop at the first zero delta from there on; running at least
-  * that many iterations keeps every row at least as long as the earlier
-  * ones, which the nested distinct requires.
+  * loop may stop at the first zero delta from there on; before that a zero
+  * delta may still be followed by changes that the outer state brings in.
   */
 final class IncrementalFixpoint(body: ZExpr, recEmpty: ZSet, maxIter: Int = Fixpoint.DefaultMaxIter) {
   private val runner = new NestedIncrementalRunner(ZDistinct(body))

@@ -18,7 +18,8 @@ trait NestedOp[A] {
   def step(a: A): A
 
   /** Evaluate on a matrix prefix (list of rows), resetting nothing —
-    * convenience for tests; rows may be ragged only if tails are zero.
+    * convenience for tests. Rows may differ in length; the cells past a
+    * row's end are not computed (see `NestedOp.outer`).
     */
   final def run(rows: Seq[Seq[A]]): Seq[Seq[A]] =
     rows.map { row => newOuterTick(); row.map(step) }
@@ -44,10 +45,12 @@ object NestedOp {
     * outer tick.
     *
     * Ragged rows: a row may stop before an index that earlier rows reached.
-    * The unevaluated tail counts as 0, so on the next outer tick every index
-    * the previous row never reached is stepped with `g.zero` — sound exactly
-    * when the inner streams are zero almost everywhere (Definition 5.1),
-    * which holds for every stream inside a δ₀…∫ bracket (loop deltas).
+    * On the next outer tick every index the previous row never reached is
+    * stepped with `g.zero` and its output dropped, so each instance sees its
+    * column padded with zeros. That is the run on the zero-padded matrix when
+    * the padded cells of `mk`'s input are zero, as they are for the input of
+    * a nested operator; an input computed by a non-linear inner operator
+    * (Dₒ after H) may be non-zero there, and then it is not.
     */
   def outer[A](mk: => Op[A, A])(implicit g: Group[A]): NestedOp[A] = new NestedOp[A] {
     private val ops = mutable.ArrayBuffer.empty[Op[A, A]]

@@ -2,6 +2,8 @@ package repro.zset
 
 import org.apache.spark.sql.functions.{broadcast, col, lit}
 
+import repro.circuit.Op
+
 /** The integral I (Definition 2.19) of a Z-set stream, kept append-only: the
   * state of every stateful Z-set operator, in the style of DBSP's runtime
   * traces and differential dataflow's arrangements. Each appended delta is
@@ -54,6 +56,23 @@ final class Trace {
 object Trace {
   /** Appends between two consolidations of a trace. */
   private val ConsolidateEvery = 16
+
+  /** I over a Z-set stream, kept in a trace: each step appends its input
+    * and returns the integral, so a step costs no job until a
+    * consolidation.
+    */
+  def integral: Op[ZSet, ZSet] = new Op[ZSet, ZSet] {
+    private val t = new Trace
+    def step(d: ZSet): ZSet = { t.append(d); t.value }
+  }
+
+  /** z⁻¹ ∘ I over a Z-set stream, kept in a trace: each step appends its
+    * input and returns the integral before it.
+    */
+  def pastSum: Op[ZSet, ZSet] = new Op[ZSet, ZSet] {
+    private val t = new Trace
+    def step(d: ZSet): ZSet = t.append(d)
+  }
 
   /** `z` restricted to the tuples whose `keys` columns match a tuple of `by`
     * (null keys match null, as they group): the bounded probe when it

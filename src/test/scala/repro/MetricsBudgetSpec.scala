@@ -1,13 +1,10 @@
 package repro
 
-import java.util.concurrent.atomic.AtomicInteger
-
-import org.apache.spark.TestListenerBus
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.types._
 
 import repro.agg.{AggFunc, GroupAggregate, IncrementalGroupAggregate}
 import repro.core.{IncrementalDistinct, IncrementalJoin}
+import repro.metrics.{JobCount, JobCounter}
 import repro.nested.{IncrementalTransitiveClosure, NestedIncrementalDistinct}
 import repro.recursive.TransitiveClosure
 import repro.zset.{Trace, ZSet}
@@ -17,42 +14,15 @@ import repro.zset.{Trace, ZSet}
   * single-edge update of the incremental transitive closure,
   * as well as a small-delta tick and an all-empty tick of the stateful
   * relational operators, stay under ceilings, and a small-delta tick with a
-  * driver-local change launches no broadcast exchange. Ceilings are the
+  * driver-local change launches no broadcast exchange. A single-edge update
+  * also launches fewer jobs than recomputing the closure. Ceilings are the
   * counts measured when they were set; they may only ever be lowered.
   */
 class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
   import MetricsBudgetSpec._
 
-  /** Runs `body` and counts the Spark jobs it launched, broadcast jobs
-    * included: jobs are told apart by a local property, which jobs started
-    * from Spark's own threads on this thread's behalf inherit. Broadcast
-    * exchanges are the jobs Spark tags `broadcast exchange (runId …)`.
-    */
-  private def jobsByKind[A](body: => A): (A, Jobs) = {
-    val sc = spark.sparkContext
-    val tag = s"budget-${ids.incrementAndGet()}"
-    val (all, broadcasts) = (new AtomicInteger, new AtomicInteger)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = {
-        def prop(k: String) = Option(e.properties).flatMap(p => Option(p.getProperty(k)))
-        if (prop(Key).contains(tag)) {
-          all.incrementAndGet()
-          if (prop("spark.job.tags").exists(_.split(",").exists(_.startsWith("broadcast exchange"))))
-            broadcasts.incrementAndGet()
-        }
-      }
-    }
-    sc.addSparkListener(listener)
-    sc.setLocalProperty(Key, tag)
-    try {
-      val out = body
-      TestListenerBus.drain(sc)
-      (out, Jobs(all.get, broadcasts.get))
-    } finally {
-      sc.setLocalProperty(Key, null)
-      sc.removeSparkListener(listener)
-    }
-  }
+  /** The Spark jobs `body` launched, broadcast jobs included. */
+  private def jobsByKind[A](body: => A): (A, JobCount) = JobCounter.count(spark)(body)
 
   /** The number of Spark jobs `body` launched (see [[jobsByKind]]). */
   private def jobsOf[A](body: => A): (A, Int) = {
@@ -70,7 +40,7 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
   /** After `load`, the jobs of one small-delta tick and of one all-empty
     * tick, each output materialized the way a consumer of the view would.
     */
-  private def tickJobs(name: String)(load: => ZSet, small: => ZSet, empty: => ZSet): (Jobs, Jobs) = {
+  private def tickJobs(name: String)(load: => ZSet, small: => ZSet, empty: => ZSet): (JobCount, JobCount) = {
     load.compact()
     val (_, s) = jobsByKind(small.compact())
     val (_, e) = jobsByKind(empty.compact())
@@ -139,9 +109,15 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     itc.step(held(zs2("h", "t", dag.map(_ -> 1L): _*)))
     val (_, insertJobs) = jobsByKind(itc.step(zs2("h", "t", (0L, 5L) -> 1L)))
     val (_, deleteJobs) = jobsByKind(itc.step(zs2("h", "t", (0L, 5L) -> -1L)))
-    info(s"jobs: insert $insertJobs, delete $deleteJobs")
-    assert(insertJobs.all <= TcInsertCeiling)
-    assert(deleteJobs.all <= TcDeleteCeiling)
+    // The from-scratch recompute of the same edges, loaded as the update's were.
+    val inserted = held(zs2("h", "t", (dag :+ (0L -> 5L)).map(_ -> 1L): _*))
+    val deleted = held(zs2("h", "t", dag.map(_ -> 1L): _*))
+    val (_, insertScratch) = jobsByKind(TransitiveClosure.semiNaive(inserted))
+    val (_, deleteScratch) = jobsByKind(TransitiveClosure.semiNaive(deleted))
+    info(s"jobs: insert $insertJobs, delete $deleteJobs; semiNaive $insertScratch and $deleteScratch")
+    assert(insertJobs.all <= TcInsertCeiling && insertJobs.broadcast == 0)
+    assert(deleteJobs.all <= TcDeleteCeiling && deleteJobs.broadcast == 0)
+    assert(insertJobs.all < insertScratch.all && deleteJobs.all < deleteScratch.all)
   }
 
   test("an empty transaction of the incremental transitive closure stays under its job ceiling") {
@@ -229,28 +205,23 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
 }
 
 object MetricsBudgetSpec {
-  /** Jobs launched, and how many of them were broadcast exchanges. */
-  final case class Jobs(all: Int, broadcast: Int) {
-    override def toString: String = s"$all ($broadcast broadcast)"
-  }
-
-  private val Key = "repro.budget"
-  private val ids = new AtomicInteger
-
   /** Three layers of three nodes; every node has two edges into the next. */
   private val dag: Seq[(Long, Long)] = Seq(
     0L -> 3L, 0L -> 4L, 1L -> 4L, 1L -> 5L, 2L -> 5L, 2L -> 3L,
     3L -> 6L, 3L -> 7L, 4L -> 7L, 4L -> 8L, 5L -> 8L, 5L -> 6L)
 
   // Measured on Spark 4.1.2, local[4], with the DAG loaded Spark-held and a
-  // local single-edge change: 30 and 30 jobs, 2 of them broadcasts, since
-  // the nested distinct is Dₒ ∘ ↑IncrementalDistinct ∘ Iₒ (37 and 37, 8
-  // broadcasts, with its hand-written four-corner join; 39 and 39 before
-  // changes became driver-local).
-  private val TcInsertCeiling = 30
-  private val TcDeleteCeiling = 30
-  // Empty transaction, same setting: 15 jobs (16 before the composition).
-  private val TcEmptyCeiling = 15
+  // local single-edge change: 6 and 6 jobs, none of them broadcasts, all
+  // bounded probes, since both nested operators keep their integrals in
+  // lazily appended traces and probe them with change-sized values (30 and
+  // 30, 2 broadcasts, with the distinct as Dₒ ∘ ↑IncrementalDistinct ∘ Iₒ;
+  // 37 and 37, 8 broadcasts, with its hand-written four-corner join; 39 and
+  // 39 before changes became driver-local).
+  private val TcInsertCeiling = 6
+  private val TcDeleteCeiling = 6
+  // Empty transaction, same setting: 0 jobs (15 before the change-sized
+  // nested operators, 16 before the composition).
+  private val TcEmptyCeiling = 0
 
   // Small-delta tick / all-empty tick, same setting, with Spark-held bulk
   // state and local changes: join 2 / 0, distinct 1 / 0, grouped SUM 1 / 0,

@@ -2,15 +2,17 @@ package repro.nested
 
 import scala.util.Random
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.zset.ZSet
+import repro.{SparkSpec, ZSetFixtures}
 
 /** Validates the 4-term nested incremental bilinear operator
   * `IᵢIₒ(a)×b + Iₒ(a)×Zᵢ(b) + Iᵢ(a)×Zₒ(b) + a×ZᵢZₒ(b)` against the
-  * brute-force `D ∘ ↑D ∘ ↑↑× ∘ ↑I ∘ I` on randomized nested streams — pure
-  * group values (ℤ and finite maps), no Spark, so the algebra is checked on
-  * hundreds of matrices.
+  * brute-force `D ∘ ↑D ∘ ↑↑× ∘ ↑I ∘ I` on randomized nested streams: pure
+  * group values (ℤ and finite maps), so the algebra is checked on hundreds
+  * of matrices, and Z-set joins, whose states are traces probed with the
+  * changes.
   */
-class NestedIncBilinearSpec extends AnyFunSuite {
+class NestedIncBilinearSpec extends SparkSpec with ZSetFixtures {
 
   private def randMatrix(rnd: Random, rows: Int, cols: Int): Seq[Seq[Long]] =
     Seq.fill(rows)(Seq.fill(cols)(rnd.nextLong(11) - 5))
@@ -99,6 +101,30 @@ class NestedIncBilinearSpec extends AnyFunSuite {
     }
     ragged.zip(padded).foreach { case (rr, rp) =>
       assert(rr == rp.take(rr.size))
+    }
+  }
+
+  test("4-term form ≡ brute force for Z-set joins on a nullable key, local, Spark-held and mixed") {
+    val rnd = new Random(17)
+    val (rows, cols, keys) = (3, 3, Seq("k"))
+    def matrix(cells: Seq[ZSet]) = cells.grouped(cols).toSeq
+    val as = Seq.fill(rows * cols)(randKV(rnd, "k", "v", maxRows = 3))
+    val bs = Seq.fill(rows * cols)(randKV(rnd, "k", "u", maxRows = 3))
+    val (a0, b0) = (ZSet.raw(as.head), ZSet.raw(bs.head))
+    val (gA, gB, gC) = (ZSet.groupOf(a0), ZSet.groupOf(b0), ZSet.groupOf(a0.join(b0, keys)))
+    val (_, brute) = run2[ZSet, ZSet, ZSet](
+      new NestedIncrementalBilinear(Bilinear.zsets(keys)(_.join(_, keys)))(gA, gB, gC),
+      new NestedIncrementalBinaryBrute[ZSet, ZSet, ZSet](_.join(_, keys))(gA, gB, gC),
+      matrix(as.map(ZSet.raw)), matrix(bs.map(ZSet.raw)))
+    for (((m, da), (_, db)) <- modes(as).zip(modes(bs, _ % 2 == 0))) {
+      val op = new NestedIncrementalBilinear(Bilinear.zsets(keys)(_.join(_, keys)))(gA, gB, gC)
+      for (((ra, rb), t1) <- matrix(da).zip(matrix(db)).zipWithIndex) {
+        op.newOuterTick()
+        for (((x, y), t2) <- ra.zip(rb).zipWithIndex) {
+          val o = op.step(x, y)
+          assert(o.zequals(brute(t1)(t2)), s"$m: mismatch at ($t1, $t2): ${o.entries()} vs ${brute(t1)(t2).entries()}")
+        }
+      }
     }
   }
 }

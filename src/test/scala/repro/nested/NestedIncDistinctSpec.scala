@@ -29,17 +29,19 @@ class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
     else ZSet.raw(es.map { case (k, w) => (Option(k).filter(_ > 1), w) }.toDF("k", ZSet.W))
   }
 
-  /** Runs the operator and the brute force side by side, asserting every
-    * cell equal, and returns the operator's cells.
+  /** Runs the operator on `matrix` and the brute force on it with every row
+    * padded by zeros to the longest one, asserting every cell the operator
+    * computes equal, and returns the operator's cells.
     */
   private def runBoth(matrix: Seq[Seq[ZSet]]): Seq[Seq[ZSet]] = {
     val opt = new NestedIncrementalDistinct
     val brute = new NestedIncrementalUnaryBrute[ZSet, ZSet](_.distinctZ)
+    val width = matrix.map(_.size).max
     matrix.zipWithIndex.map { case (row, t1) =>
       opt.newOuterTick(); brute.newOuterTick()
-      row.zipWithIndex.map { case (d, t2) =>
+      val bs = row.padTo(width, g.zero).map(brute.step)
+      row.zip(bs).zipWithIndex.map { case ((d, b), t2) =>
         val o = opt.step(d)
-        val b = brute.step(d)
         assert(o.zequals(b), s"mismatch at ($t1, $t2): opt=${o.entries()} brute=${b.entries()}")
         o
       }
@@ -53,7 +55,8 @@ class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
       val cols = 2 + rnd.nextInt(2)
       runBoth(Seq.fill(rows)(Seq.fill(cols)(randDelta(rnd, withNull))))
     }
-    // Ragged: each row 1–4 long, so a row may be shorter than an earlier one.
+    // Ragged: each row 1–4 long, so a row may be shorter than an earlier one;
+    // runBoth compares with the zero-padded brute force.
     for (withNull <- Seq(false, true); trial <- 0 until 12)
       runBoth(Seq.fill(3)(Seq.fill(1 + rnd.nextInt(4))(randDelta(rnd, withNull))))
     // Rows that never get shorter, the fixpoint's shape, agree with their
@@ -98,23 +101,32 @@ class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
 
   test("integrating the nested output over both times reconstructs distinct of the total") {
     val rnd = new Random(43)
-    val matrix = Seq.fill(3)(Seq.fill(2)(randDelta(rnd)))
-    val opt = new NestedIncrementalDistinct
-    var outTotal = ZSet.empty(spark, schema)
-    var lastRowOut = ZSet.empty(spark, schema)
-    var inTotalLastRow = ZSet.empty(spark, schema)
-    var inCum = ZSet.empty(spark, schema)
-    matrix.foreach { row =>
-      opt.newOuterTick()
-      var rowOut = ZSet.empty(spark, schema)
-      row.foreach { d =>
-        rowOut = rowOut.plus(opt.step(d))
-        inCum = inCum.plus(d)
+    val e = ZSet.empty(spark, schema)
+    // Rows 2, 1 and 3 long. The cells row 1 skips are zero in the zero-padded
+    // run (fact 5 of cell (0, 1) meets no change of row 1), so the computed
+    // cells still integrate to the total.
+    val ragged = Seq(
+      Seq(zs1("k", 1L -> 1L), zs1("k", 5L -> 1L)),
+      Seq(zs1("k", 2L -> 1L)),
+      Seq(zs1("k", 1L -> -1L), e, zs1("k", 3L -> 1L)))
+    assert(runBoth(ragged.map(_.padTo(3, e)))(1).drop(1).forall(_.isEmpty), "fixture: row 1's padded cells")
+    for (matrix <- Seq(Seq.fill(3)(Seq.fill(2)(randDelta(rnd))), ragged)) {
+      val opt = new NestedIncrementalDistinct
+      var lastRowOut = ZSet.empty(spark, schema)
+      var inTotalLastRow = ZSet.empty(spark, schema)
+      var inCum = ZSet.empty(spark, schema)
+      matrix.foreach { row =>
+        opt.newOuterTick()
+        var rowOut = ZSet.empty(spark, schema)
+        row.foreach { d =>
+          rowOut = rowOut.plus(opt.step(d))
+          inCum = inCum.plus(d)
+        }
+        lastRowOut = lastRowOut.plus(rowOut) // ∫ over inner, I over outer
+        inTotalLastRow = inCum
       }
-      lastRowOut = lastRowOut.plus(rowOut) // ∫ over inner, I over outer
-      inTotalLastRow = inCum
+      // ↑∫ then I over outer of the output = distinct of the fully-integrated input.
+      assert(lastRowOut.zequals(inTotalLastRow.distinctZ))
     }
-    // ↑∫ then I over outer of the output = distinct of the fully-integrated input.
-    assert(lastRowOut.zequals(inTotalLastRow.distinctZ))
   }
 }
