@@ -30,15 +30,27 @@ final class Trace {
     * before it, z⁻¹(I) at this tick. Appending a known zero is free, and
     * appending a local delta to a Spark-held value is a lazy union that
     * costs no job until the next consolidation.
+    *
+    * A consolidating append returns the value before as the consolidated
+    * state minus `d` (a lazy union), not as the superseded chunks: a caller
+    * may keep the value it is given (a nested operator's row state keeps it
+    * until the next outer tick), and the superseded value's checkpoint is
+    * released only when nothing refers to it. So a trace retains one
+    * checkpoint, whichever tick consolidated last.
     */
   def append(d: ZSet): ZSet = {
     val before = valueLike(d)
-    if (!d.isKnownZero) {
+    if (d.isKnownZero) before
+    else {
       state = before.plus(d)
       chunks += 1
-      if (chunks >= Trace.ConsolidateEvery) { state = state.compact(); chunks = 0 }
+      if (chunks < Trace.ConsolidateEvery) before
+      else {
+        state = state.compact()
+        chunks = 0
+        state.minus(d)
+      }
     }
-    before
   }
 
   /** The integral so far. */

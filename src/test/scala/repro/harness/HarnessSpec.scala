@@ -1,5 +1,7 @@
 package repro.harness
 
+import org.apache.spark.sql.execution.LogicalRDD
+
 import repro.zset.{Trace, ZSet}
 import repro.{SparkSpec, SynthGraph, ZSetFixtures}
 
@@ -49,6 +51,19 @@ class HarnessSpec extends SparkSpec with ZSetFixtures {
     val before = deltas.map(d => trace.append(d.compact())).last
     assert(trace.value.zequals(deltas.reduce(_ plus _)))
     assert(before.zequals(deltas.init.reduce(_ plus _)))
+  }
+
+  test("A consolidating append refers only to the state it consolidated") {
+    // A Spark-held first append, then local ones; the 16th consolidates. The
+    // value before it must not keep the superseded checkpoint reachable.
+    val trace = new Trace
+    val deltas = held(zs1("k", 0L -> 1L)).compact() +: (1L to 15L).map(k => zs1("k", k -> 1L).compact())
+    val befores = deltas.map(trace.append)
+    def rdds(z: ZSet): Set[Int] = z.df.queryExecution.analyzed.collect { case r: LogicalRDD => r.rdd.id }.toSet
+    assert(rdds(befores(1)).nonEmpty)
+    assert(rdds(befores.last).intersect(rdds(befores(1))).isEmpty)
+    assert(befores.last.zequals(deltas.init.reduce(_ plus _)))
+    assert(trace.value.zequals(deltas.reduce(_ plus _)))
   }
 
   test("Trace consolidation does not change the value") {
