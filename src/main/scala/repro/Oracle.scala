@@ -3,7 +3,6 @@ package repro
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
-import scala.jdk.CollectionConverters._
 
 import repro.zset.ZSet
 

@@ -35,13 +35,6 @@ object Group {
     def isZero(a: Long): Boolean = a == 0L
   }
 
-  implicit val intGroup: Group[Int] = new Group[Int] {
-    val zero = 0
-    def plus(a: Int, b: Int): Int = a + b
-    def negate(a: Int): Int = -a
-    def isZero(a: Int): Boolean = a == 0
-  }
-
   /** Finite maps with group values, absent key = zero — an in-memory Z-set.
     * Used for fast property tests of the stream calculus without Spark.
     */

@@ -46,8 +46,6 @@ object Op {
     def step(a: A, b: B): C = f(a, b)
   }
 
-  def id[A]: Op[A, A] = lift(identity)
-
   /** The delay operator z⁻¹ (Definition 2.5): outputs 0 at t=0, then the
     * previous input. Strict, causal, LTI.
     */
@@ -75,9 +73,6 @@ object Op {
     private var op: Op[A, B] = _
     def step(a: A): B = { if (op == null) op = make(a); op.step(a) }
   }
-
-  /** Pointwise stream addition (streams over a group form a group, Prop 2.13). */
-  def add[A](implicit g: Group[A]): Op2[A, A, A] = lift2(g.plus)
 
   /** Pointwise stream negation. */
   def neg[A](implicit g: Group[A]): Op[A, A] = lift(g.negate)

@@ -21,19 +21,9 @@ object ZSetOps {
   def filter(predicate: String): Op[ZSet, ZSet] =
     Op.lift(z => z.filterZ(expr(predicate)))
 
-  /** ↑π — projection onto named columns. Linear. */
-  def project(cols: String*): Op[ZSet, ZSet] =
-    Op.lift(z => z.project(cols: _*))
-
   /** ↑map — generalized projection via "expr AS alias" SQL expressions. Linear. */
   def map(exprs: String*): Op[ZSet, ZSet] =
     Op.lift(z => z.mapRows(exprs: _*))
-
-  /** ↑+ — Z-set addition (UNION ALL, §7.1). Linear in both arguments. */
-  def add: Op2[ZSet, ZSet, ZSet] = Op.lift2((a, b) => a.plus(b))
-
-  /** ↑− — Z-set difference (the group operation, not set EXCEPT). */
-  def subtract: Op2[ZSet, ZSet, ZSet] = Op.lift2((a, b) => a.minus(b))
 
   /** ↑distinct — Definition 4.3. NOT linear; see [[IncrementalDistinct]]. */
   def distinct: Op[ZSet, ZSet] = Op.lift(_.distinctZ)

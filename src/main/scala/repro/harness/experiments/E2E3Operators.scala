@@ -77,8 +77,11 @@ object E2IncrementalJoin extends Experiment {
   * integral (O(R)).
   *
   * Wall-clock carries a substrate caveat: DataFrames have no indexed state,
-  * so the incremental probe still *scans* the stored integral once per tick
-  * (a broadcast semi-join). The rows-aggregated columns report the paper's
+  * so the incremental probe still *scans* the stored integral once per tick:
+  * for a change of at most `ZSet.LocalLimit` rows (C = 100 and 1000) it is
+  * the bounded probe, one job that filters the integral with an `isin`
+  * literal of the change's keys, and for larger changes a broadcast
+  * semi-join ([[Trace.probe]]). The rows-aggregated columns report the paper's
   * actual §4.5 work metric; the time columns expose the scan floor honestly
   * (incremental time is flat in C — it is the scan — while its aggregated
   * work is C versus the baseline's R).

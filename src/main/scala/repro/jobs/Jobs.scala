@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 /** The Spark session of the experiments, the tests and the benchmark. */
 object Jobs {
   def session(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions",

@@ -2,8 +2,9 @@ package repro.nested
 
 import scala.collection.mutable
 
+import repro.circuit.Op
 import repro.recursive.{Fixpoint, FixpointStats}
-import repro.relational.{CircuitInterpreter, Runner, ZExpr}
+import repro.relational.{CircuitInterpreter, ZExpr}
 import repro.relational.ZExpr._
 import repro.zset.ZSet
 
@@ -14,7 +15,8 @@ import repro.zset.ZSet
   * and distinct becomes [[NestedIncrementalDistinct]], each with groups
   * taken from the schemas of the first values it sees.
   */
-final class NestedIncrementalRunner(circuit: ZExpr) extends Runner with CircuitInterpreter {
+final class NestedIncrementalRunner(circuit: ZExpr)
+    extends Op[Map[String, ZSet], ZSet] with CircuitInterpreter {
   private val bilinears = mutable.Map.empty[ZExpr, NestedIncrementalBilinear[ZSet, ZSet, ZSet]]
   private val distincts = mutable.Map.empty[ZExpr, NestedIncrementalDistinct]
 
@@ -52,13 +54,13 @@ final class NestedIncrementalRunner(circuit: ZExpr) extends Runner with CircuitI
   * loop may stop at the first zero delta from there on; before that a zero
   * delta may still be followed by changes that the outer state brings in.
   */
-final class IncrementalFixpoint(body: ZExpr, recEmpty: ZSet, maxIter: Int = Fixpoint.DefaultMaxIter) {
+final class IncrementalFixpoint(body: ZExpr, recEmpty: ZSet) {
   private val runner = new NestedIncrementalRunner(ZDistinct(body))
   private var prevMaxIter = 0
 
   def step(deltas: Map[String, ZSet]): (ZSet, FixpointStats) = {
     runner.newOuterTick()
-    val (dR, stats) = Fixpoint.loop(runner, deltas, recEmpty, "R", maxIter, minIter = prevMaxIter)
+    val (dR, stats) = Fixpoint.loop(runner, deltas, recEmpty, minIter = prevMaxIter)
     prevMaxIter = math.max(prevMaxIter, stats.iterations)
     (dR, stats)
   }

@@ -17,9 +17,8 @@ final case class IncTcStats(innerIterations: Int, deltaSizesPerIteration: Seq[Lo
   * distinct a [[NestedIncrementalDistinct]], and the linear base-rule maps
   * pass deltas through unchanged at both levels.
   */
-final class IncrementalTransitiveClosure(spark: SparkSession, maxIter: Int = 500) {
-  private val fixpoint =
-    new IncrementalFixpoint(TransitiveClosure.body, TransitiveClosure.emptyR(spark), maxIter)
+final class IncrementalTransitiveClosure(spark: SparkSession) {
+  private val fixpoint = new IncrementalFixpoint(TransitiveClosure.body, TransitiveClosure.emptyR(spark))
 
   /** Apply one transaction ΔE; returns the view change ΔR = ↑∫(loop output). */
   def step(deltaE: ZSet): (ZSet, IncTcStats) = {

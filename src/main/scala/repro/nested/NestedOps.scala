@@ -49,8 +49,8 @@ object NestedOp {
     * stepped with `g.zero` and its output dropped, so each instance sees its
     * column padded with zeros. That is the run on the zero-padded matrix when
     * the padded cells of `mk`'s input are zero, as they are for the input of
-    * a nested operator; an input computed by a non-linear inner operator
-    * (Dₒ after H) may be non-zero there, and then it is not.
+    * a nested operator; an input computed by a non-linear inner operator may
+    * be non-zero there, and then it is not.
     */
   def outer[A](mk: => Op[A, A])(implicit g: Group[A]): NestedOp[A] = new NestedOp[A] {
     private val ops = mutable.ArrayBuffer.empty[Op[A, A]]

@@ -2,7 +2,8 @@ package repro.recursive
 
 import scala.collection.mutable
 
-import repro.relational.{BatchEval, IncrementalRunner, Runner, ZExpr}
+import repro.circuit.Op
+import repro.relational.{BatchEval, IncrementalRunner, ZExpr}
 import repro.zset.ZSet
 
 /** Per-run fixpoint statistics: the work metrics behind the naïve vs
@@ -18,7 +19,8 @@ final case class FixpointStats(iterations: Int, workPerIteration: Seq[Long]) {
 
 /** Fixpoint evaluation of recursive queries (§5). A recursive query is an
   * equation `R = distinct(body(I₁…Iₘ, R))` with `body` a non-recursive Z-set
-  * circuit over the input relations and the recursive relation `recName`.
+  * circuit over the input relations and the recursive relation, which the
+  * body reads as its input "R".
   */
 object Fixpoint {
 
@@ -47,13 +49,8 @@ object Fixpoint {
     * [[iterate]] `x ← S(x)` with `S(x) = distinct(body(I…, x))` from the
     * empty relation. Each iteration re-derives *all* facts.
     */
-  def naive(
-      body: ZExpr,
-      inputs: Map[String, ZSet],
-      recEmpty: ZSet,
-      recName: String = "R",
-      maxIter: Int = DefaultMaxIter): (ZSet, FixpointStats) =
-    iterate(recEmpty, x => BatchEval.eval(body, inputs + (recName -> x)).distinctZ, maxIter)
+  def naive(body: ZExpr, inputs: Map[String, ZSet], recEmpty: ZSet): (ZSet, FixpointStats) =
+    iterate(recEmpty, x => BatchEval.eval(body, inputs + ("R" -> x)).distinctZ)
 
   /** Semi-naïve evaluation (circuit 5.1, Algorithm 2 of [11]): the loop body
     * is the *incrementalized* circuit `(↑distinct ∘ ↑body)^Δ` run by
@@ -63,29 +60,23 @@ object Fixpoint {
     * `body` must NOT be wrapped in a top-level distinct — it is added here,
     * mirroring the `distinct ∘ R` composition called T in §6.
     */
-  def semiNaive(
-      body: ZExpr,
-      inputs: Map[String, ZSet],
-      recEmpty: ZSet,
-      recName: String = "R",
-      maxIter: Int = DefaultMaxIter): (ZSet, FixpointStats) =
-    loop(new IncrementalRunner(ZExpr.ZDistinct(body)), inputs, recEmpty, recName, maxIter, minIter = 0)
+  def semiNaive(body: ZExpr, inputs: Map[String, ZSet], recEmpty: ZSet): (ZSet, FixpointStats) =
+    loop(new IncrementalRunner(ZExpr.ZDistinct(body)), inputs, recEmpty, minIter = 0)
 
   /** The δ₀ → body → z⁻¹ feedback → ∫ loop around an incremental loop body:
     * the inputs enter as δ₀(Iₖ) (only at iteration 0), the body's output
-    * delta is fed back as `recName` at the next iteration, and the non-zero
+    * delta is fed back as "R" at the next iteration, and the non-zero
     * deltas are accumulated by ∫. It stops at a zero delta once `minIter`
     * iterations have run: a nested body may emit changes after a zero delta
     * while its outer state is non-zero, which it is only up to the earlier
-    * ticks' last iteration.
+    * ticks' last iteration. `maxIter` iterations without that stop throw.
     */
   private[repro] def loop(
-      body: Runner,
+      body: Op[Map[String, ZSet], ZSet],
       inputs: Map[String, ZSet],
       recEmpty: ZSet,
-      recName: String,
-      maxIter: Int,
-      minIter: Int): (ZSet, FixpointStats) = {
+      minIter: Int,
+      maxIter: Int = DefaultMaxIter): (ZSet, FixpointStats) = {
     val empties = inputs.map { case (n, z) => n -> ZSet.empty(z.spark, z.dataSchema) }
     val work = mutable.Buffer.empty[Long]
     var acc = recEmpty            // ∫ of the output deltas
@@ -95,7 +86,7 @@ object Fixpoint {
     while (!done) {
       require(iter < maxIter, s"fixpoint: no convergence after $maxIter iterations")
       val dIn = if (iter == 0) inputs else empties // δ₀ of each input
-      delta = body.step(dIn + (recName -> delta)).compact()
+      delta = body.step(dIn + ("R" -> delta)).compact()
       val size = delta.entryCount
       work += size
       if (size != 0) acc = acc.plus(delta).compact()

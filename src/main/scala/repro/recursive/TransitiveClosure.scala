@@ -41,11 +41,9 @@ object TransitiveClosure {
     ZSum(ZSum(base1, base2), ZSum(base3, step))
   }
 
-  def naive(e: ZSet, maxIter: Int = Fixpoint.DefaultMaxIter): (ZSet, FixpointStats) =
-    Fixpoint.naive(body, Map("E" -> e), emptyR(e.spark), "R", maxIter)
+  def naive(e: ZSet): (ZSet, FixpointStats) = Fixpoint.naive(body, Map("E" -> e), emptyR(e.spark))
 
-  def semiNaive(e: ZSet, maxIter: Int = Fixpoint.DefaultMaxIter): (ZSet, FixpointStats) =
-    Fixpoint.semiNaive(body, Map("E" -> e), emptyR(e.spark), "R", maxIter)
+  def semiNaive(e: ZSet): (ZSet, FixpointStats) = Fixpoint.semiNaive(body, Map("E" -> e), emptyR(e.spark))
 
   /** DuckDB oracle query over an input table `e(h, t)` — the same program as
     * a recursive CTE, used by tests to validate Theorem 5.4.

@@ -28,14 +28,8 @@ object DistinctOptimizer {
     * value it produces is a positive Z-set.
     */
   def isNegFree(e: ZExpr): Boolean = e match {
-    case ZInput(_)       => true
-    case ZNeg(_)         => false
-    case ZFilter(in, _)  => isNegFree(in)
-    case ZMap(in, _)     => isNegFree(in)
-    case ZDistinct(in)   => isNegFree(in)
-    case ZSum(a, b)      => isNegFree(a) && isNegFree(b)
-    case ZJoin(a, b, _)  => isNegFree(a) && isNegFree(b)
-    case ZCross(a, b)    => isNegFree(a) && isNegFree(b)
+    case ZNeg(_) => false
+    case _       => e.children.forall(isNegFree)
   }
 
   private def fix(e: ZExpr)(f: ZExpr => ZExpr): ZExpr = {
@@ -44,15 +38,9 @@ object DistinctOptimizer {
   }
 
   /** One bottom-up pass of both rewrite rules. */
-  private def once(e: ZExpr): ZExpr = e match {
-    case ZInput(n)        => ZInput(n)
-    case ZFilter(in, p)   => pullThrough(ZFilter(once(in), p))
-    case ZMap(in, es)     => ZMap(once(in), es)
-    case ZNeg(in)         => ZNeg(once(in))
-    case ZSum(a, b)       => ZSum(once(a), once(b))
-    case ZJoin(a, b, k)   => pullThrough(ZJoin(once(a), once(b), k))
-    case ZCross(a, b)     => pullThrough(ZCross(once(a), once(b)))
-    case ZDistinct(in)    => ZDistinct(absorb(once(in)))
+  private def once(e: ZExpr): ZExpr = e.mapChildren(once) match {
+    case ZDistinct(in) => ZDistinct(absorb(in))
+    case other         => pullThrough(other)
   }
 
   /** Prop 4.5: hoist a distinct sitting directly below σ/⋈/× above it.
@@ -80,12 +68,7 @@ object DistinctOptimizer {
   private def absorb(e: ZExpr): ZExpr =
     if (!isNegFree(e)) e
     else e match {
-      case ZDistinct(x)   => absorb(x) // distinct ∘ distinct = distinct
-      case ZFilter(in, p) => ZFilter(absorb(in), p)
-      case ZMap(in, es)   => ZMap(absorb(in), es)
-      case ZSum(a, b)     => ZSum(absorb(a), absorb(b))
-      case ZJoin(a, b, k) => ZJoin(absorb(a), absorb(b), k)
-      case ZCross(a, b)   => ZCross(absorb(a), absorb(b))
-      case other          => other
+      case ZDistinct(x) => absorb(x) // distinct ∘ distinct = distinct
+      case other        => other.mapChildren(absorb)
     }
 }

@@ -5,7 +5,7 @@ import scala.collection.mutable
 import org.apache.spark.sql.functions.expr
 
 import repro.circuit.Op
-import repro.core.{IncrementalCartesian, IncrementalDistinct, IncrementalJoin, ZSetOps}
+import repro.core.{IncrementalBilinear, IncrementalCartesian, IncrementalDistinct, IncrementalJoin, ZSetOps}
 import repro.zset.ZSet
 
 import ZExpr._
@@ -59,30 +59,24 @@ object BatchEval extends CircuitInterpreter {
   def eval(e: ZExpr, inputs: Map[String, ZSet]): ZSet = walk(e, inputs)
 }
 
-/** A circuit runner: one tick per call, inputs and output are Z-sets.
-  * For an incremental runner the values are *changes*; for a lifted runner
-  * they are full snapshots.
-  */
-trait Runner {
-  def step(inputs: Map[String, ZSet]): ZSet
-}
-
 /** Algorithm 4.8 steps 3–5: the lifted, incrementalized circuit, with the
   * chain rule applied so every node computes directly on changes —
   *
   *  - linear nodes (σ, π/map, +, −) run unchanged (Theorem 3.3),
   *  - ⋈/× become [[IncrementalJoin]]/[[IncrementalCartesian]] (Theorem 3.4),
   *  - distinct becomes [[IncrementalDistinct]] (Proposition 4.7).
+  *
+  * Each `step` takes one tick's input changes and returns the view change.
   */
-final class IncrementalRunner(circuit: ZExpr) extends Runner with CircuitInterpreter {
-  private val joins     = mutable.Map.empty[ZExpr, IncrementalJoin]
-  private val crosses   = mutable.Map.empty[ZExpr, IncrementalCartesian]
+final class IncrementalRunner(circuit: ZExpr)
+    extends Op[Map[String, ZSet], ZSet] with CircuitInterpreter {
+  private val bilinears = mutable.Map.empty[ZExpr, IncrementalBilinear]
   private val distincts = mutable.Map.empty[ZExpr, IncrementalDistinct]
 
   protected def join(node: ZJoin, a: ZSet, b: ZSet, keys: Seq[String]): ZSet =
-    joins.getOrElseUpdate(node, new IncrementalJoin(keys)).step(a, b)
+    bilinears.getOrElseUpdate(node, new IncrementalJoin(keys)).step(a, b)
   protected def cross(node: ZCross, a: ZSet, b: ZSet): ZSet =
-    crosses.getOrElseUpdate(node, new IncrementalCartesian).step(a, b)
+    bilinears.getOrElseUpdate(node, new IncrementalCartesian).step(a, b)
   protected def distinct(node: ZDistinct, in: ZSet): ZSet =
     distincts.getOrElseUpdate(node, new IncrementalDistinct).step(in)
 
@@ -92,9 +86,10 @@ final class IncrementalRunner(circuit: ZExpr) extends Runner with CircuitInterpr
 /** Algorithm 4.8 stopped after step 4: the lifted circuit surrounded by I
   * and D but *not* rewritten internally — it reconstitutes full snapshots
   * and re-evaluates the whole query every tick. This is the paper's O(R[t])
-  * baseline against which incremental circuits are measured (§4.5).
+  * baseline against which incremental circuits are measured (§4.5). Like
+  * [[IncrementalRunner]], each `step` maps input changes to the view change.
   */
-final class NaiveLiftedRunner(circuit: ZExpr) extends Runner {
+final class NaiveLiftedRunner(circuit: ZExpr) extends Op[Map[String, ZSet], ZSet] {
   private val integrals = mutable.Map.empty[String, Op[ZSet, ZSet]]
   private val differentiate = ZSetOps.differentiate
 

@@ -38,28 +38,42 @@ object Rel {
   * translation (Algorithm 4.8 step 5) mechanical.
   */
 sealed trait ZExpr {
+  import ZExpr._
+
+  /** The node's operands, left to right. */
+  def children: Seq[ZExpr] = this match {
+    case ZInput(_)       => Nil
+    case ZFilter(in, _)  => Seq(in)
+    case ZMap(in, _)     => Seq(in)
+    case ZNeg(in)        => Seq(in)
+    case ZDistinct(in)   => Seq(in)
+    case ZSum(a, b)      => Seq(a, b)
+    case ZJoin(a, b, _)  => Seq(a, b)
+    case ZCross(a, b)    => Seq(a, b)
+  }
+
+  /** The same node over `f` of each operand. */
+  def mapChildren(f: ZExpr => ZExpr): ZExpr = this match {
+    case ZInput(_)       => this
+    case ZFilter(in, p)  => ZFilter(f(in), p)
+    case ZMap(in, es)    => ZMap(f(in), es)
+    case ZNeg(in)        => ZNeg(f(in))
+    case ZDistinct(in)   => ZDistinct(f(in))
+    case ZSum(a, b)      => ZSum(f(a), f(b))
+    case ZJoin(a, b, k)  => ZJoin(f(a), f(b), k)
+    case ZCross(a, b)    => ZCross(f(a), f(b))
+  }
+
   /** All input table names referenced under this node. */
   def inputs: Set[String] = this match {
-    case ZExpr.ZInput(n)         => Set(n)
-    case ZExpr.ZFilter(in, _)    => in.inputs
-    case ZExpr.ZMap(in, _)       => in.inputs
-    case ZExpr.ZNeg(in)          => in.inputs
-    case ZExpr.ZDistinct(in)     => in.inputs
-    case ZExpr.ZSum(a, b)        => a.inputs ++ b.inputs
-    case ZExpr.ZJoin(a, b, _)    => a.inputs ++ b.inputs
-    case ZExpr.ZCross(a, b)      => a.inputs ++ b.inputs
+    case ZInput(n) => Set(n)
+    case _         => children.flatMap(_.inputs).toSet
   }
 
   /** Number of ZDistinct nodes — the optimizer's cost measure. */
   def distinctCount: Int = this match {
-    case ZExpr.ZInput(_)       => 0
-    case ZExpr.ZFilter(in, _)  => in.distinctCount
-    case ZExpr.ZMap(in, _)     => in.distinctCount
-    case ZExpr.ZNeg(in)        => in.distinctCount
-    case ZExpr.ZDistinct(in)   => 1 + in.distinctCount
-    case ZExpr.ZSum(a, b)      => a.distinctCount + b.distinctCount
-    case ZExpr.ZJoin(a, b, _)  => a.distinctCount + b.distinctCount
-    case ZExpr.ZCross(a, b)    => a.distinctCount + b.distinctCount
+    case ZDistinct(in) => 1 + in.distinctCount
+    case _             => children.map(_.distinctCount).sum
   }
 }
 object ZExpr {

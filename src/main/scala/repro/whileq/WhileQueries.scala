@@ -16,8 +16,7 @@ import repro.zset.ZSet
 object WhileQueries {
 
   /** Batch evaluation of the while loop: [[Fixpoint.iterate]] from `i`. */
-  def whileFix(i: ZSet, q: ZSet => ZSet, maxIter: Int = Fixpoint.DefaultMaxIter): ZSet =
-    Fixpoint.iterate(i, q, maxIter)._1
+  def whileFix(i: ZSet, q: ZSet => ZSet): ZSet = Fixpoint.iterate(i, q)._1
 
   /** The lifted, incrementalized while-query (Algorithm 4.8 applied to the
     * whole loop, step 4 — the generic D ∘ ↑whileFix ∘ I form). Because Q is
@@ -25,10 +24,9 @@ object WhileQueries {
     * not apply; this is the paper's always-correct fallback: consume changes
     * of i, produce changes of the fixpoint.
     */
-  final class IncrementalWhile(q: ZSet => ZSet, maxIter: Int = Fixpoint.DefaultMaxIter)
-      extends Op[ZSet, ZSet] {
+  final class IncrementalWhile(q: ZSet => ZSet) extends Op[ZSet, ZSet] {
     private val circuit =
-      ZSetOps.integrate.andThen(Op.lift(whileFix(_: ZSet, q, maxIter))).andThen(ZSetOps.differentiate)
+      ZSetOps.integrate.andThen(Op.lift(whileFix(_: ZSet, q))).andThen(ZSetOps.differentiate)
 
     def step(di: ZSet): ZSet = circuit.step(di)
   }

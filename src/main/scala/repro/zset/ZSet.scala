@@ -127,18 +127,12 @@ final class ZSet private (
   /** Multiply every weight by a constant. */
   def scale(k: Long): ZSet = unary(df.withColumn(W, col(W) * lit(k)))
 
-  /** One row per distinct tuple, weights summed, zero-weight tuples dropped. */
+  /** One row per distinct tuple, weights summed, zero-weight tuples dropped
+    * (without data columns: one row of the net weight, if it is non-zero).
+    */
   def consolidate(): ZSet =
     if (knownCount.isDefined) this
-    else if (dataCols.isEmpty) {
-      // Degenerate nullary relation: a single abstract tuple with a net weight.
-      new ZSet(df.agg(sum(W) as W).where(col(W) =!= 0))
-    } else {
-      new ZSet(
-        df.groupBy(dataCols.map(col): _*)
-          .agg(sum(W) as W)
-          .where(col(W) =!= 0))
-    }
+    else new ZSet(df.groupBy(dataCols.map(col): _*).agg(sum(W) as W).where(col(W) =!= 0))
 
   // --------------------------------------------------------- set-like operators
 
@@ -375,7 +369,7 @@ object ZSet {
 
   /** tozset of a bag: duplicates become multiplicities. */
   def fromBag(df: DataFrame): ZSet =
-    raw(df.groupBy(df.columns.map(col): _*).agg(count(lit(1)).cast(LongType) as W))
+    raw(df.groupBy(df.columns.toSeq.map(col): _*).agg(count(lit(1)).cast(LongType) as W))
 
   /** tozset of a set (§4.2.1): weight 1 per distinct row. */
   def fromSet(df: DataFrame): ZSet = raw(df.distinct().withColumn(W, lit(1L)))

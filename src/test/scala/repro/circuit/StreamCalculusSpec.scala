@@ -2,8 +2,6 @@ package repro.circuit
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.algebra.Group
-
 /** §2 of the paper: streams, lifting, delay, integration, differentiation —
   * checked on concrete ℤ-streams (no Spark needed; streams over any abelian
   * group obey the same laws).

@@ -1,5 +1,6 @@
 package repro.recursive
 
+import repro.relational.{IncrementalRunner, ZExpr}
 import repro.zset.ZSet
 import repro.{Oracle, SparkSpec, SynthGraph, ZSetFixtures}
 
@@ -80,5 +81,22 @@ class TransitiveClosureSpec extends SparkSpec with ZSetFixtures {
     val e = edges(1L -> 2L, 2L -> 3L, 1L -> 3L, 3L -> 1L)
     val (r, _) = TransitiveClosure.semiNaive(e)
     assert(r.isSetLike)
+  }
+
+  test("a loop with no fixpoint fails loudly: iterate throws after maxIter iterations") {
+    val one = edges(1L -> 2L)
+    // x ← {(1, 2)} − x flips between {(1, 2)} and ∅ forever.
+    val e = intercept[IllegalArgumentException](
+      Fixpoint.iterate(TransitiveClosure.emptyE(spark), one.minus(_), maxIter = 5))
+    assert(e.getMessage.contains("no fixpoint after 5 iterations"))
+  }
+
+  test("a loop with no fixpoint fails loudly: loop throws below a chain's depth") {
+    // The closure of an 8-node path needs at least 7 iterations (see above).
+    val chain = ZSet.fromSet(SynthGraph.chain(spark, 8))
+    val body = new IncrementalRunner(ZExpr.ZDistinct(TransitiveClosure.body))
+    val e = intercept[IllegalArgumentException](Fixpoint.loop(
+      body, Map("E" -> chain), TransitiveClosure.emptyR(spark), minIter = 0, maxIter = 3))
+    assert(e.getMessage.contains("no convergence after 3 iterations"))
   }
 }
