@@ -1,32 +1,29 @@
 package repro.core
 
 import repro.circuit.Op2
+import repro.core.IncrementalBilinear.probed
 import repro.zset.{Trace, ZSet}
 
-/** The efficient incremental form of a bilinear operator × (Theorem 3.4):
+/** The efficient incremental form of a bilinear operator × (Theorem 3.4,
+  * with 1 + z⁻¹I = I folding its Δa × Δb term into the first product):
   * {{{
-  *   Δ(a × b) = Δa × Δb + z⁻¹(I(a)) × Δb + Δa × z⁻¹(I(b))
+  *   Δ(a × b) = I(a) × Δb + Δa × z⁻¹(I(b))
   * }}}
-  * The two delayed integrals are the operator's state (space O(R), §4.5),
-  * kept in [[Trace]]s so each tick costs O(C): the change is compacted, the
-  * state is not rewritten. In each delta-vs-state product the state is first
-  * probed with the change's `keys` (all of it for ×); when the change is
-  * local and the probe bounded, the product runs on the driver after that
-  * one job. Otherwise the change side is broadcast — Spark's analogue of an
-  * indexed state lookup.
+  * The two integrals are the operator's state (space O(R), §4.5), kept in
+  * [[Trace]]s so each tick costs O(C): the change is compacted and appended,
+  * the state is not rewritten. Each product is [[IncrementalBilinear.probed]]:
+  * the state probed with the change's `keys` (all of it for ×), the product
+  * finished on the driver when the change is local and the probe bounded.
   */
-sealed abstract class IncrementalBilinear(keys: Seq[String], times: (ZSet, ZSet) => ZSet)
+class IncrementalBilinear(keys: Seq[String], times: (ZSet, ZSet) => ZSet)
     extends Op2[ZSet, ZSet, ZSet] {
-  private val ia = new Trace // I(a)
-  private val ib = new Trace // I(b)
+  private val ia = Trace.integral // I(a)
+  private val ib = Trace.pastSum  // z⁻¹(I(b))
 
   def step(da: ZSet, db: ZSet): ZSet = {
     val dac = da.compact()
     val dbc = db.compact()
-    val (a, b) = (ia.append(dac), ib.append(dbc))
-    times(dac.broadcastHint, dbc)
-      .plus(IncrementalBilinear.probed(a, dbc, keys)(times))
-      .plus(IncrementalBilinear.probed(b, dac, keys)((s, c) => times(c, s)))
+    probed(ia.step(dac), dbc, keys)(times).plus(probed(ib.step(dbc), dac, keys)((s, c) => times(c, s)))
   }
 }
 

@@ -12,12 +12,12 @@ import repro.zset.ZSet
   * rule applied once per clock (Theorem 5.4, §6): outer time is input
   * transactions, inner time is fixpoint iterations. Linear nodes run
   * unchanged at both levels; ⋈ and × become [[NestedIncrementalBilinear]]
-  * and distinct becomes [[NestedIncrementalDistinct]], each with groups
-  * taken from the schemas of the first values it sees.
+  * and distinct becomes [[NestedIncrementalDistinct]], each with its
+  * operands' groups taken from the schemas of the first values it sees.
   */
 final class NestedIncrementalRunner(circuit: ZExpr)
     extends Op[Map[String, ZSet], ZSet] with CircuitInterpreter {
-  private val bilinears = mutable.Map.empty[ZExpr, NestedIncrementalBilinear[ZSet, ZSet, ZSet]]
+  private val bilinears = mutable.Map.empty[ZExpr, NestedIncrementalBilinear]
   private val distincts = mutable.Map.empty[ZExpr, NestedIncrementalDistinct]
 
   /** Advance outer time; the next `step` is inner iteration 0. */
@@ -26,14 +26,9 @@ final class NestedIncrementalRunner(circuit: ZExpr)
     distincts.values.foreach(_.newOuterTick())
   }
 
-  private def bilinear(node: ZExpr, a: ZSet, b: ZSet, keys: Seq[String])(times: (ZSet, ZSet) => ZSet): ZSet =
-    bilinears.getOrElseUpdate(node, new NestedIncrementalBilinear(Bilinear.zsets(keys)(times))(
-      ZSet.groupOf(a), ZSet.groupOf(b), ZSet.groupOf(times(a, b)))).step(a, b)
-
-  protected def join(node: ZJoin, a: ZSet, b: ZSet, keys: Seq[String]): ZSet =
-    bilinear(node, a, b, keys)(_.join(_, keys))
-  protected def cross(node: ZCross, a: ZSet, b: ZSet): ZSet =
-    bilinear(node, a, b, Nil)(_.cartesian(_))
+  protected def bilinear(node: ZExpr, a: ZSet, b: ZSet, keys: Seq[String])(times: (ZSet, ZSet) => ZSet): ZSet =
+    bilinears.getOrElseUpdate(node,
+      new NestedIncrementalBilinear(keys, times)(ZSet.groupOf(a), ZSet.groupOf(b))).step(a, b)
   protected def distinct(node: ZDistinct, in: ZSet): ZSet =
     distincts.getOrElseUpdate(node, new NestedIncrementalDistinct()(ZSet.groupOf(in))).step(in)
 

@@ -2,46 +2,14 @@ package repro.nested
 
 import repro.algebra.Group
 import repro.circuit.Op
-import repro.core.{IncrementalBilinear, IncrementalDistinct}
+import repro.core.IncrementalBilinear.probed
+import repro.core.IncrementalDistinct
 import repro.nested.NestedOp.{inner, outer}
 import repro.zset.{Trace, ZSet}
 
-/** A bilinear operator × as [[NestedIncrementalBilinear]] evaluates it: the
-  * product itself, the running sums the operator keeps of its operands (I of
-  * the left one, z⁻¹I of the right one), and the product of a state (a sum
-  * over outer time, O(R)) with a change-sized value of the other operand.
-  * By default the sums are `Op.integrate` and every product is × itself, so
-  * any `(A, B) => C` function is a `Bilinear`; [[Bilinear.zsets]] keeps
-  * Z-set sums in traces and probes them.
-  */
-trait Bilinear[A, B, C] {
-  def apply(a: A, b: B): C
-  def integral(implicit g: Group[A]): Op[A, A] = Op.integrate[A]
-  def pastSum(implicit g: Group[B]): Op[B, B] = NestedOp.pastSum[B]
-  def stateTimes(state: A, change: B): C = apply(state, change)
-  def timesState(change: A, state: B): C = apply(change, state)
-}
-
-object Bilinear {
-  /** ⋈ on `keys` (× without keys) of Z-sets: every running sum is appended
-    * lazily to a trace ([[Trace.integral]], [[Trace.pastSum]]), and every
-    * product probes the state with the change ([[IncrementalBilinear.probed]]).
-    */
-  def zsets(keys: Seq[String])(times: (ZSet, ZSet) => ZSet): Bilinear[ZSet, ZSet, ZSet] =
-    new Bilinear[ZSet, ZSet, ZSet] {
-      def apply(a: ZSet, b: ZSet): ZSet = times(a, b)
-      override def integral(implicit g: Group[ZSet]): Op[ZSet, ZSet] = Trace.integral
-      override def pastSum(implicit g: Group[ZSet]): Op[ZSet, ZSet] = Trace.pastSum
-      override def stateTimes(state: ZSet, change: ZSet): ZSet =
-        IncrementalBilinear.probed(state, change, keys)(times)
-      override def timesState(change: ZSet, state: ZSet): ZSet =
-        IncrementalBilinear.probed(state, change, keys)((s, c) => times(c, s))
-    }
-}
-
-/** The doubly-incremental bilinear operator `(↑(↑×)^Δ)^Δ` of §6, in the
-  * simplified 4-term form (the paper notes the 3×3 expansion collapses to 4
-  * terms; the derivation, using 1 + z⁻¹I = I at each level, gives):
+/** The doubly-incremental bilinear operator `(↑(↑×)^Δ)^Δ` of §6, for ⋈ on
+  * `keys` (× without keys) of Z-sets: Theorem 3.4's one rule,
+  * Δ(a × b) = I(a) × Δb + Δa × z⁻¹I(b), applied once at each clock:
   * {{{
   *   out = IᵢIₒ(a) × b  +  Iₒ(a) × Zᵢ(b)  +  Iᵢ(a) × Zₒ(b)  +  a × ZᵢZₒ(b)
   * }}}
@@ -49,40 +17,41 @@ object Bilinear {
   * Every term pairs a state, a sum over earlier outer ticks (IᵢIₒ(a),
   * Iₒ(a), Zₒ(b), ZᵢZₒ(b)), with a value of this outer tick alone (b, Zᵢ(b),
   * Iᵢ(a), a): the §6.2 bound O(‖↑I(s₁)‖ × ‖I(s₂)‖) instead of a full
-  * recompute.
+  * recompute. `ga` and `gb` are the groups of the two operands, whose zeros
+  * pad the outer sums' columns past a short row (see [[NestedOp.outer]]).
   *
-  * Work per step over Z-sets ([[Bilinear.zsets]]): six lazy trace appends,
-  * which cost no job until a trace's consolidation, and four products. A
-  * product with a known-zero side costs nothing; otherwise the state is
-  * probed with the change-sized operand, one Spark job when the state is
-  * Spark-held and the operand local, and the product finishes on the
-  * driver.
+  * Work per step: six lazy trace appends ([[Trace.integral]],
+  * [[Trace.pastSum]]), which cost no job until a trace's consolidation, and
+  * four [[IncrementalBilinear.probed]] products. A product with a known-zero
+  * side costs nothing; otherwise the state is probed with the change-sized
+  * operand, one Spark job when the state is Spark-held and the operand
+  * local, and the product finishes on the driver.
   */
-final class NestedIncrementalBilinear[A, B, C](times: Bilinear[A, B, C])(
-    implicit ga: Group[A], gb: Group[B], gc: Group[C]) {
+final class NestedIncrementalBilinear(keys: Seq[String], times: (ZSet, ZSet) => ZSet)(
+    ga: Group[ZSet], gb: Group[ZSet]) {
 
-  private val ioA   = outer(times.integral)   // Iₒ(a)
-  private val iiIoA = inner(times.integral)   // Iᵢ(Iₒ(a))
-  private val iiA   = inner(times.integral)   // Iᵢ(a)
-  private val ziB   = inner(times.pastSum)    // Zᵢ(b)
-  private val zoB   = outer(times.pastSum)    // Zₒ(b)
-  private val ziZoB = inner(times.pastSum)    // Zᵢ(Zₒ(b))
+  private val ioA   = outer(Trace.integral)(ga)   // Iₒ(a)
+  private val iiIoA = inner(Trace.integral)       // Iᵢ(Iₒ(a))
+  private val iiA   = inner(Trace.integral)       // Iᵢ(a)
+  private val ziB   = inner(Trace.pastSum)        // Zᵢ(b)
+  private val zoB   = outer(Trace.pastSum)(gb)    // Zₒ(b)
+  private val ziZoB = inner(Trace.pastSum)        // Zᵢ(Zₒ(b))
 
   def newOuterTick(): Unit = {
     ioA.newOuterTick(); iiIoA.newOuterTick(); iiA.newOuterTick()
     ziB.newOuterTick(); zoB.newOuterTick(); ziZoB.newOuterTick()
   }
 
-  def step(a: A, b: B): C = {
+  def step(a: ZSet, b: ZSet): ZSet = {
     val ioAv   = ioA.step(a)
     val iiIoAv = iiIoA.step(ioAv)
     val iiAv   = iiA.step(a)
     val ziBv   = ziB.step(b)
     val zoBv   = zoB.step(b)
     val ziZoBv = ziZoB.step(zoBv)
-    gc.plus(
-      gc.plus(times.stateTimes(iiIoAv, b), times.stateTimes(ioAv, ziBv)),
-      gc.plus(times.timesState(iiAv, zoBv), times.timesState(a, ziZoBv)))
+    val flipped = (state: ZSet, change: ZSet) => times(change, state)
+    probed(iiIoAv, b, keys)(times).plus(probed(ioAv, ziBv, keys)(times))
+      .plus(probed(zoBv, iiAv, keys)(flipped)).plus(probed(ziZoBv, a, keys)(flipped))
   }
 }
 

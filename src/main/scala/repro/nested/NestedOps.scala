@@ -63,9 +63,4 @@ object NestedOp {
       out
     }
   }
-
-  /** z⁻¹ ∘ I, the "past sum" Σ_{i<t} in[i] that the nested bilinear operator
-    * pairs with each change.
-    */
-  def pastSum[A](implicit g: Group[A]): Op[A, A] = Op.integrate[A].andThen(Op.delay[A])
 }

@@ -5,22 +5,22 @@ import scala.collection.mutable
 import org.apache.spark.sql.functions.expr
 
 import repro.circuit.Op
-import repro.core.{IncrementalBilinear, IncrementalCartesian, IncrementalDistinct, IncrementalJoin, ZSetOps}
+import repro.core.{IncrementalBilinear, IncrementalDistinct, ZSetOps}
 import repro.zset.ZSet
 
 import ZExpr._
 
 /** One memoized walk over a Z-set circuit. The linear nodes (σ, map, −, +)
   * have one meaning at every level of incrementalization (Theorem 3.3); the
-  * three non-linear ones (⋈, ×, distinct) get theirs from the implementing
-  * semantics, given the node and its evaluated operands. A stateful
-  * semantics keys its operator instances by node, so structurally identical
-  * subtrees share one operator (and its state), mirroring
-  * common-subexpression sharing in the circuit diagram.
+  * bilinear ones (⋈ and ×, given as their product `times` on `keys`, none
+  * for ×) and distinct get theirs from the implementing semantics, given the
+  * node and its evaluated operands. A stateful semantics keys its operator
+  * instances by node, so structurally identical subtrees share one operator
+  * (and its state), mirroring common-subexpression sharing in the circuit
+  * diagram.
   */
 trait CircuitInterpreter {
-  protected def join(node: ZJoin, a: ZSet, b: ZSet, keys: Seq[String]): ZSet
-  protected def cross(node: ZCross, a: ZSet, b: ZSet): ZSet
+  protected def bilinear(node: ZExpr, a: ZSet, b: ZSet, keys: Seq[String])(times: (ZSet, ZSet) => ZSet): ZSet
   protected def distinct(node: ZDistinct, in: ZSet): ZSet
 
   protected final def walk(e: ZExpr, inputs: Map[String, ZSet]): ZSet = {
@@ -31,8 +31,11 @@ trait CircuitInterpreter {
       case ZMap(in, es)       => go(in).mapRows(es: _*)
       case ZNeg(in)           => go(in).negate
       case ZSum(a, b)         => go(a).plus(go(b))
-      case j @ ZJoin(a, b, k) => { val (x, y) = (go(a), go(b)); join(j, x, y, joinKeys(x, y, k)) }
-      case c @ ZCross(a, b)   => cross(c, go(a), go(b))
+      case ZJoin(a, b, k)     =>
+        val (x, y) = (go(a), go(b))
+        val keys = joinKeys(x, y, k)
+        bilinear(e, x, y, keys)(_.join(_, keys))
+      case ZCross(a, b)       => bilinear(e, go(a), go(b), Nil)(_.cartesian(_))
       case d @ ZDistinct(in)  => distinct(d, go(in))
     })
     go(e)
@@ -52,8 +55,8 @@ trait CircuitInterpreter {
   * snapshot — the circuits of Table 1 before lifting.
   */
 object BatchEval extends CircuitInterpreter {
-  protected def join(node: ZJoin, a: ZSet, b: ZSet, keys: Seq[String]): ZSet = a.join(b, keys)
-  protected def cross(node: ZCross, a: ZSet, b: ZSet): ZSet = a.cartesian(b)
+  protected def bilinear(node: ZExpr, a: ZSet, b: ZSet, keys: Seq[String])(times: (ZSet, ZSet) => ZSet): ZSet =
+    times(a, b)
   protected def distinct(node: ZDistinct, in: ZSet): ZSet = in.distinctZ
 
   def eval(e: ZExpr, inputs: Map[String, ZSet]): ZSet = walk(e, inputs)
@@ -63,7 +66,7 @@ object BatchEval extends CircuitInterpreter {
   * chain rule applied so every node computes directly on changes —
   *
   *  - linear nodes (σ, π/map, +, −) run unchanged (Theorem 3.3),
-  *  - ⋈/× become [[IncrementalJoin]]/[[IncrementalCartesian]] (Theorem 3.4),
+  *  - ⋈/× become an [[IncrementalBilinear]] of their product (Theorem 3.4),
   *  - distinct becomes [[IncrementalDistinct]] (Proposition 4.7).
   *
   * Each `step` takes one tick's input changes and returns the view change.
@@ -73,10 +76,8 @@ final class IncrementalRunner(circuit: ZExpr)
   private val bilinears = mutable.Map.empty[ZExpr, IncrementalBilinear]
   private val distincts = mutable.Map.empty[ZExpr, IncrementalDistinct]
 
-  protected def join(node: ZJoin, a: ZSet, b: ZSet, keys: Seq[String]): ZSet =
-    bilinears.getOrElseUpdate(node, new IncrementalJoin(keys)).step(a, b)
-  protected def cross(node: ZCross, a: ZSet, b: ZSet): ZSet =
-    bilinears.getOrElseUpdate(node, new IncrementalCartesian).step(a, b)
+  protected def bilinear(node: ZExpr, a: ZSet, b: ZSet, keys: Seq[String])(times: (ZSet, ZSet) => ZSet): ZSet =
+    bilinears.getOrElseUpdate(node, new IncrementalBilinear(keys, times)).step(a, b)
   protected def distinct(node: ZDistinct, in: ZSet): ZSet =
     distincts.getOrElseUpdate(node, new IncrementalDistinct).step(in)
 

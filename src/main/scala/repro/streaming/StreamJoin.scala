@@ -1,19 +1,21 @@
 package repro.streaming
 
 import repro.circuit.Op2
+import repro.core.IncrementalBilinear
 import repro.zset.{Trace, ZSet}
 
 /** The relation-to-stream join of §7.6: `T(s, t) = I(s) ↑⋈ t`.
   *
   * `s` carries *changes* to a relation (integrated into state); `t` carries
   * transient data (logs/telemetry) that is matched against the accumulated
-  * relation and then discarded — `t` is never stored.
+  * relation and then discarded — `t` is never stored. Like every state ×
+  * change product, the join probes the relation with the batch's keys
+  * ([[IncrementalBilinear.probed]]): one Spark job for a local batch against
+  * a Spark-held relation, none for an empty batch.
   */
 final class StreamRelationJoin(keys: Seq[String]) extends Op2[ZSet, ZSet, ZSet] {
-  private val rel = new Trace // I(s)
+  private val rel = Trace.integral // I(s)
 
-  def step(ds: ZSet, batch: ZSet): ZSet = {
-    rel.append(ds.compact())
-    rel.value.join(batch, keys)
-  }
+  def step(ds: ZSet, batch: ZSet): ZSet =
+    IncrementalBilinear.probed(rel.step(ds.compact()), batch, keys)(_.join(_, keys))
 }

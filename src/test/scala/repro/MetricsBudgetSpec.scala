@@ -7,14 +7,16 @@ import repro.core.{IncrementalDistinct, IncrementalJoin}
 import repro.metrics.{JobCount, JobCounter}
 import repro.nested.{IncrementalTransitiveClosure, NestedIncrementalDistinct}
 import repro.recursive.TransitiveClosure
+import repro.streaming.StreamRelationJoin
 import repro.zset.{Trace, ZSet}
 
 /** Spark-job budgets: work on empty and already-consolidated Z-sets, and a
   * bulk load of compacted inputs through `step`, launch no job; a
-  * single-edge update of the incremental transitive closure,
-  * as well as a small-delta tick and an all-empty tick of the stateful
-  * relational operators, stay under ceilings, and a small-delta tick with a
-  * driver-local change launches no broadcast exchange. A single-edge update
+  * single-edge update of the incremental transitive closure, as well as a
+  * small-delta tick and an all-empty tick of the stateful relational
+  * operators and of the relation-to-stream join, stay under ceilings, and a
+  * small-delta tick with a driver-local change launches no broadcast
+  * exchange. A single-edge update
   * also launches fewer jobs than recomputing the closure. Ceilings are the
   * counts measured when they were set; they may only ever be lowered.
   */
@@ -138,6 +140,16 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     assert(small.all <= JoinSmallCeiling && small.broadcast == 0 && empty.all <= JoinEmptyCeiling)
   }
 
+  test("a small-batch and an all-empty tick of StreamRelationJoin stay under their job ceilings") {
+    val op = new StreamRelationJoin(Seq("k"))
+    val kev = StructType(Seq(StructField("k", LongType), StructField("ev", LongType)))
+    val (small, empty) = tickJobs("stream join")(
+      op.step(bulk("v"), ZSet.empty(spark, kev)),
+      op.step(ZSet.empty(spark, kv), zs2("k", "ev", (3L, 7L) -> 1L, (4L, 8L) -> 1L)),
+      op.step(ZSet.empty(spark, kv), ZSet.empty(spark, kev)))
+    assert(small.all <= StreamJoinSmallCeiling && small.broadcast == 0 && empty.all <= StreamJoinEmptyCeiling)
+  }
+
   test("a small-delta and an all-empty tick of IncrementalDistinct stay under their job ceilings") {
     val op = new IncrementalDistinct
     val (small, empty) = tickJobs("distinct")(
@@ -236,6 +248,11 @@ object MetricsBudgetSpec {
   private val SumEmptyCeiling = 0
   private val MinSmallCeiling = 1
   private val MinEmptyCeiling = 0
+  // StreamRelationJoin, same setting, a local 2-row batch against the
+  // Spark-held relation / an all-empty tick: 1 / 0 (3 / 0 when the batch was
+  // joined with the whole relation as a plain plan).
+  private val StreamJoinSmallCeiling = 1
+  private val StreamJoinEmptyCeiling = 0
   // Small-delta tick of global (keyless) SUM and MIN, same setting: 1 and 1
   // (9 and 8 before).
   private val GlobalSumSmallCeiling = 1

@@ -9,11 +9,11 @@ import repro.jobs.Jobs
 /** Base for every test: one local-mode SparkSession for the whole run,
   * built by `Jobs.session` with the experiments' config.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * The test JVM's heap (the driver's, in local mode) is set by
+  * `Test / javaOptions` in build.sbt: SPARK_DRIVER_MEM when it is set, else
+  * half of the physical memory, clamped to 2–8 GB. Broadcast joins are
+  * disabled (`autoBroadcastJoinThreshold = -1`), so a join broadcasts only
+  * where the code asks for it.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -24,8 +24,8 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = Jobs.session("repro")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output with the heap setting and the parallelism the
+    // tests ran with.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

@@ -3,7 +3,7 @@ package repro.nested
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.circuit.Op
-import repro.nested.NestedOp.{inner, outer, pastSum}
+import repro.nested.NestedOp.{inner, outer}
 
 /** Reproduces every nested-stream computation of Appendix A.1 on the matrix
   * i[outer][inner] = inner + 2·outer, plus the commutativity properties the
@@ -97,10 +97,10 @@ class NestedOpsSpec extends AnyFunSuite {
   }
 
   test("delayed-integrate variants: Zᵢ = ↑z⁻¹∘↑I and Zₒ = z⁻¹∘I") {
-    val zi1 = inner(pastSum[Long]).run(i)
+    val zi1 = inner(Op.integrate[Long].andThen(Op.delay[Long])).run(i)
     val zi2 = inner(Op.delay[Long]).run(inner(Op.integrate[Long]).run(i))
     assert(zi1 == zi2)
-    val zo1 = outer(pastSum[Long]).run(i)
+    val zo1 = outer(Op.integrate[Long].andThen(Op.delay[Long])).run(i)
     val zo2 = outer(Op.delay[Long]).run(outer(Op.integrate[Long]).run(i))
     assert(zo1 == zo2)
   }
