@@ -80,7 +80,11 @@ object E5IncrementalRecursion extends Experiment {
 
   val id = "E5"
   val full: Size = Size(layers = 7, width = 40, fanout = 3)
-  val toy: Size = Size(layers = 7, width = 5, fanout = 2)
+  // A bulk-load closure of 1170 rows, above `ZSet.LocalLimit`, so the toy
+  // closure is Spark-held as the full size's is. At width 11 (1124 rows)
+  // the recompute's state is still small enough that its first update
+  // launches as few jobs as the incremental one (2 and 2).
+  val toy: Size = Size(layers = 7, width = 12, fanout = 2)
 
   /** §6.2: per update, the incremental circuit derives a small fraction of
     * the tuples a from-scratch semi-naïve recompute derives, and launches

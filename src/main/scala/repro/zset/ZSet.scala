@@ -39,17 +39,19 @@ import repro.algebra.Group
   *
   * Local: a Z-set is *local* when the driver holds its consolidated entries,
   * at most [[ZSet.LocalLimit]] of them, and `df` is a local relation of
-  * exactly those entries (a known zero is local). Only two things make a
-  * local Z-set: a plan that Spark's optimizer reduces to a local relation of
-  * at most `LocalLimit` rows (collecting it runs no job), and a bounded probe
-  * ([[restrictTo]]). No other Spark plan is ever collected. Between local
-  * operands, `plus`, consolidation, ⋈ and × run on the driver; σ, π, map,
-  * negation, scaling and distinct stay Spark expressions, which the
-  * optimizer folds into a local relation again. A result with more than
-  * `LocalLimit` entries, and any result with a non-local operand, is the
-  * lazy Spark plan it always was. Local arithmetic follows Spark's: grouping
-  * puts nulls together and treats −0.0 as 0.0 and NaN as equal to NaN, join
-  * keys never match on null, and weight overflow throws.
+  * exactly those entries (a known zero is local). Three things make a local
+  * Z-set: a plan that Spark's optimizer reduces to a local relation of at
+  * most `LocalLimit` rows (collecting it runs no job), a bounded probe
+  * ([[restrictTo]]), and `compact()` of a result of at most `LocalLimit`
+  * entries (its checkpoint, collected once). No other Spark plan is ever
+  * collected. Between local operands, `plus`, consolidation, ⋈ and × run on
+  * the driver; σ, π, map, negation, scaling and distinct stay Spark
+  * expressions, which the optimizer folds into a local relation again. A
+  * result with more than `LocalLimit` entries, and any result with a
+  * non-local operand, is the lazy Spark plan it always was. Local
+  * arithmetic follows Spark's: grouping puts nulls together and treats −0.0
+  * as 0.0 and NaN as equal to NaN, join keys never match on null, and
+  * weight overflow throws.
   */
 final class ZSet private (
     val df: DataFrame,
@@ -324,7 +326,11 @@ final class ZSet private (
     * local relation of at most `LocalLimit` rows is collected (no job) and
     * becomes local. Any other plan is checkpointed; the eager checkpoint's
     * own job also counts the rows it materializes (a Spark `Observation`), so
-    * the result's entry count is known without another action.
+    * the result's entry count is known without another action. A checkpoint
+    * of at most `LocalLimit` entries whose columns group on the driver is
+    * collected by one more job (none when it is empty) and the result is
+    * local, so small state stays on the driver and nothing refers to the
+    * checkpoint; a larger one stays Spark-held with its known count.
     */
   def compact(): ZSet =
     if (knownCount.isDefined) this
@@ -333,7 +339,11 @@ final class ZSet private (
       val c = consolidate().df.observe(rows, count(lit(1)) as "n")
       val parts = math.max(1, math.min(8, spark.sparkContext.defaultParallelism))
       val materialized = c.coalesce(parts).localCheckpoint()
-      new ZSet(materialized, Some(rows.get("n").asInstanceOf[Long]))
+      val n = rows.get("n").asInstanceOf[Long]
+      if (n <= LocalLimit && ZSet.groupable(materialized.schema)) {
+        val got = if (n == 0L) Array.empty[Row] else materialized.collect()
+        ZSet.fromEntries(materialized, Some(ZSet.split(materialized.schema, got)))
+      } else new ZSet(materialized, Some(n))
     }
 
   /** Count of physical rows (no consolidation) — cheap way to force a plan. */
@@ -414,14 +424,16 @@ object ZSet {
     * and its values group on the driver exactly as in Spark.
     */
   private def localize(df: DataFrame): Option[ZSet] =
-    if (!df.schema.forall(f => groupable(f.dataType))) None
+    if (!groupable(df.schema)) None
     else collectLocal(df).map(rows => fromEntries(df, Some(split(df.schema, rows))))
 
-  /** Types whose driver-side values compare as Spark compares them. */
-  private def groupable(t: DataType): Boolean = t match {
+  /** Whether every column's driver-side values compare as Spark compares
+    * them.
+    */
+  private def groupable(schema: StructType): Boolean = schema.forall(_.dataType match {
     case _: NumericType | StringType | BooleanType | DateType | TimestampType | TimestampNTZType => true
     case _ => false
-  }
+  })
 
   /** Collected rows of a weighted plan as (data values, weight) entries. */
   private def split(schema: StructType, rows: Array[Row]): Iterator[(Row, Long)] = {

@@ -14,11 +14,12 @@ import repro.zset.{Trace, ZSet}
   * bulk load of compacted inputs through `step`, launch no job; a
   * single-edge update of the incremental transitive closure, as well as a
   * small-delta tick and an all-empty tick of the stateful relational
-  * operators and of the relation-to-stream join, stay under ceilings, and a
-  * small-delta tick with a driver-local change launches no broadcast
-  * exchange. A single-edge update
-  * also launches fewer jobs than recomputing the closure. Ceilings are the
-  * counts measured when they were set; they may only ever be lowered.
+  * operators and of the relation-to-stream join over Spark-held state, stay
+  * under ceilings, and a small-delta tick with a driver-local change
+  * launches no broadcast exchange. A single-edge update also launches fewer
+  * jobs than recomputing the closure. State of at most `LocalLimit` entries
+  * is local once compacted, and a tick over it launches no job. Ceilings are
+  * the counts measured when they were set; they may only ever be lowered.
   */
 class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
   import MetricsBudgetSpec._
@@ -34,10 +35,18 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
 
   private val kv = StructType(Seq(StructField("k", LongType), StructField("v", LongType)))
 
-  /** 100 rows over 20 keys, with value column `v`, held by Spark as a bulk
-    * load is.
+  /** 4000 rows over 2000 keys, with value column `v`, held by Spark as a
+    * bulk load is: more than `LocalLimit` entries, also projected to `k`, so
+    * an operator's state stays Spark-held when compacted, while a probe by a
+    * few keys matches two rows each.
     */
-  private def bulk(v: String): ZSet = held(zs2("k", v, (0L until 100L).map(i => (i % 20, i) -> 1L): _*))
+  private def bulk(v: String): ZSet = held(zs2("k", v, (0L until 4000L).map(i => (i % 2000, i) -> 1L): _*))
+
+  /** 100 rows over 20 keys, with value column `v`, checkpointed by Spark: at
+    * most `LocalLimit` entries, so an operator's first `compact()` makes its
+    * state local.
+    */
+  private def small(v: String): ZSet = held(zs2("k", v, (0L until 100L).map(i => (i % 20, i) -> 1L): _*))
 
   /** After `load`, the jobs of one small-delta tick and of one all-empty
     * tick, each output materialized the way a consumer of the view would.
@@ -68,23 +77,42 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     assert(jobs == 0)
   }
 
-  test("entryCount and isEmpty after compact() launch no job") {
-    val a = ZSet.raw(df2("k", "v", (1L, 10L) -> 2L, (1L, 10L) -> -1L, (2L, 20L) -> 1L, (3L, 30L) -> 0L)
-      .localCheckpoint())
+  /** `a.compact()` and the jobs it launches beyond checkpointing `a`'s
+    * consolidation; then, launching no job, its entry count is `n`, and
+    * compacting, consolidating or adding a known zero keeps it.
+    */
+  private def compactOnce(a: ZSet, n: Long): (ZSet, Int) = {
     val (c, compactJobs) = jobsOf(a.compact())
-    // Learning the count adds no Spark action to the checkpoint itself.
     val (_, checkpointJobs) = jobsOf(a.consolidate().df.localCheckpoint())
-    assert(compactJobs > 0 && compactJobs == checkpointJobs)
+    assert(checkpointJobs > 0)
     val (_, jobs) = jobsOf {
-      assert(c.entryCount == 2L)
+      assert(c.entryCount == n)
       assert(!c.isEmpty && c.nonEmpty)
       assert(c.compact() eq c)
       assert(c.consolidate() eq c)
       // Adding a known zero keeps the known count.
-      assert(c.plus(ZSet.empty(spark, kv)).entryCount == 2L)
-      assert(ZSet.empty(spark, kv).plus(c).entryCount == 2L)
+      assert(c.plus(ZSet.empty(spark, kv)).entryCount == n)
+      assert(ZSet.empty(spark, kv).plus(c).entryCount == n)
     }
     assert(jobs == 0)
+    (c, compactJobs - checkpointJobs)
+  }
+
+  test("entryCount and isEmpty after compact() launch no job") {
+    // At most LocalLimit entries: the checkpoint is collected by one more job.
+    val a = ZSet.raw(df2("k", "v", (1L, 10L) -> 2L, (1L, 10L) -> -1L, (2L, 20L) -> 1L, (3L, 30L) -> 0L)
+      .localCheckpoint())
+    val (c, extra) = compactOnce(a, 2L)
+    assert(extra == 1 && c.isLocal)
+    assert(c.entries() == Seq((Seq("1", "10"), 1L), (Seq("2", "20"), 1L)))
+  }
+
+  test("compact() of more than LocalLimit entries launches only its checkpoint's jobs") {
+    // Learning the count adds no Spark action to the checkpoint itself.
+    val n = ZSet.LocalLimit + 1L
+    val rows = (0L until n).map(i => (i, i) -> 1L) :+ ((0L, 0L) -> -1L) :+ ((n, n) -> 1L)
+    val (c, extra) = compactOnce(ZSet.raw(df2("k", "v", rows: _*).localCheckpoint()), n)
+    assert(extra == 0 && !c.isLocal)
   }
 
   test("an empty IncrementalDistinct step and an all-zero first row of NestedIncrementalDistinct launch no job") {
@@ -130,6 +158,19 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     assert(jobs <= TcEmptyCeiling)
   }
 
+  test("a single-edge update and an empty transaction of the incremental transitive closure over a compacted DAG launch no job") {
+    val itc = new IncrementalTransitiveClosure(spark)
+    val edges = held(zs2("h", "t", dag.map(_ -> 1L): _*)).compact()
+    assert(edges.isLocal)
+    itc.step(edges)
+    val (_, insertJobs) = jobsOf(itc.step(zs2("h", "t", (0L, 5L) -> 1L)))
+    val (_, deleteJobs) = jobsOf(itc.step(zs2("h", "t", (0L, 5L) -> -1L)))
+    val (_, emptyJobs) = jobsOf(itc.step(TransitiveClosure.emptyE(spark)))
+    info(s"jobs: insert $insertJobs, delete $deleteJobs, empty $emptyJobs")
+    assert(insertJobs <= TcSmallUpdateCeiling && deleteJobs <= TcSmallUpdateCeiling)
+    assert(emptyJobs <= TcSmallEmptyCeiling)
+  }
+
   test("a small-delta and an all-empty tick of IncrementalJoin stay under their job ceilings") {
     val op = new IncrementalJoin(Seq("k"))
     val kvb = StructType(Seq(StructField("k", LongType), StructField("vb", LongType)))
@@ -159,28 +200,61 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     assert(small.all <= DistinctSmallCeiling && small.broadcast == 0 && empty.all <= DistinctEmptyCeiling)
   }
 
+  /** The small-delta and all-empty tick jobs of an incremental aggregate
+    * loaded with `load`.
+    */
+  private def aggTicks(name: String, keys: Seq[String], f: AggFunc, load: ZSet): (JobCount, JobCount) = {
+    val op = new IncrementalGroupAggregate(keys, f)
+    tickJobs(name)(
+      op.step(load),
+      op.step(zs2("k", "v", (3L, 1000L) -> 1L, (4L, 4L) -> -1L)),
+      op.step(ZSet.empty(spark, kv)))
+  }
+
   test("a small-delta and an all-empty tick of grouped SUM and MIN stay under their job ceilings") {
-    def ticks(name: String, keys: Seq[String], f: AggFunc) = {
-      val op = new IncrementalGroupAggregate(keys, f)
-      tickJobs(name)(
-        op.step(bulk("v")),
-        op.step(zs2("k", "v", (3L, 1000L) -> 1L, (4L, 4L) -> -1L)),
-        op.step(ZSet.empty(spark, kv)))
-    }
-    val (sumSmall, sumEmpty) = ticks("SUM", Seq("k"), AggFunc.Sum("v"))
-    val (minSmall, minEmpty) = ticks("MIN", Seq("k"), AggFunc.Min("v"))
-    val (gSumSmall, gSumEmpty) = ticks("global SUM", Nil, AggFunc.Sum("v"))
-    val (gMinSmall, gMinEmpty) = ticks("global MIN", Nil, AggFunc.Min("v"))
+    val (sumSmall, sumEmpty) = aggTicks("SUM", Seq("k"), AggFunc.Sum("v"), bulk("v"))
+    val (minSmall, minEmpty) = aggTicks("MIN", Seq("k"), AggFunc.Min("v"), bulk("v"))
+    // A global SUM's state is one accumulator row, local however large its input.
+    val (gSumSmall, gSumEmpty) = aggTicks("global SUM", Nil, AggFunc.Sum("v"), bulk("v"))
     assert(sumSmall.all <= SumSmallCeiling && sumEmpty.all <= SumEmptyCeiling)
     assert(minSmall.all <= MinSmallCeiling && minEmpty.all <= MinEmptyCeiling)
     assert(gSumSmall.all <= GlobalSumSmallCeiling && gSumEmpty.all == 0)
-    assert(gMinSmall.all <= GlobalMinSmallCeiling && gMinEmpty.all == 0)
-    assert(Seq(sumSmall, minSmall, gSumSmall, gMinSmall).forall(_.broadcast == 0))
+    assert(Seq(sumSmall, minSmall, gSumSmall).forall(_.broadcast == 0))
+  }
+
+  test("a small-delta and an all-empty tick over state of at most LocalLimit entries launch no job") {
+    val kvb = StructType(Seq(StructField("k", LongType), StructField("vb", LongType)))
+    val kev = StructType(Seq(StructField("k", LongType), StructField("ev", LongType)))
+    val join = new IncrementalJoin(Seq("k"))
+    val streamJoin = new StreamRelationJoin(Seq("k"))
+    val distinct = new IncrementalDistinct
+    val ticks = Seq(
+      tickJobs("small-state join")(
+        join.step(small("v"), small("vb")),
+        join.step(zs2("k", "v", (3L, 1000L) -> 1L, (4L, 4L) -> -1L), zs2("k", "vb", (5L, 2000L) -> 1L)),
+        join.step(ZSet.empty(spark, kv), ZSet.empty(spark, kvb))),
+      tickJobs("small-state stream join")(
+        streamJoin.step(small("v"), ZSet.empty(spark, kev)),
+        streamJoin.step(ZSet.empty(spark, kv), zs2("k", "ev", (3L, 7L) -> 1L, (4L, 8L) -> 1L)),
+        streamJoin.step(ZSet.empty(spark, kv), ZSet.empty(spark, kev))),
+      tickJobs("small-state distinct")(
+        distinct.step(small("v").project("k")),
+        distinct.step(zs1("k", 3L -> -5L, 500L -> 1L)),
+        distinct.step(ZSet.empty(spark, StructType(Seq(StructField("k", LongType)))))),
+      aggTicks("small-state SUM", Seq("k"), AggFunc.Sum("v"), small("v")),
+      aggTicks("small-state MIN", Seq("k"), AggFunc.Min("v"), small("v")),
+      aggTicks("small-state global SUM", Nil, AggFunc.Sum("v"), small("v")),
+      // A global MIN's state is its whole input: above LocalLimit its probe
+      // takes the broadcast plan (tested below), at most LocalLimit it is local.
+      aggTicks("small-state global MIN", Nil, AggFunc.Min("v"), small("v")))
+    assert(ticks.forall { case (s, e) => s.all <= SmallStateCeiling && e.all <= SmallStateCeiling })
   }
 
   test("a change of more than LocalLimit rows is not local and costs what it did before") {
-    val large = zs2("k", "v", (0L to ZSet.LocalLimit.toLong).map(i => (i % 20, i + 1000) -> 1L): _*)
-    assert(!large.isLocal)
+    // Distinct keys, so that the distinct's change, its projection, has
+    // more than LocalLimit entries too.
+    val large = zs2("k", "v", (0L to ZSet.LocalLimit.toLong).map(i => (i, i + 1000) -> 1L): _*)
+    assert(!large.isLocal && !large.project("k").compact().isLocal)
     val join = new IncrementalJoin(Seq("k"))
     val distinct = new IncrementalDistinct
     val kvb = StructType(Seq(StructField("k", LongType), StructField("vb", LongType)))
@@ -223,17 +297,22 @@ object MetricsBudgetSpec {
     3L -> 6L, 3L -> 7L, 4L -> 7L, 4L -> 8L, 5L -> 8L, 5L -> 6L)
 
   // Measured on Spark 4.1.2, local[4], with the DAG loaded Spark-held and a
-  // local single-edge change: 6 and 6 jobs, none of them broadcasts, all
-  // bounded probes, since both nested operators keep their integrals in
-  // lazily appended traces and probe them with change-sized values (30 and
-  // 30, 2 broadcasts, with the distinct as Dₒ ∘ ↑IncrementalDistinct ∘ Iₒ;
-  // 37 and 37, 8 broadcasts, with its hand-written four-corner join; 39 and
-  // 39 before changes became driver-local).
-  private val TcInsertCeiling = 6
-  private val TcDeleteCeiling = 6
+  // local single-edge change: 1 and 1 jobs, no broadcast, the bounded probe
+  // of the bilinear's outer integral of the uncompacted DAG, since every
+  // compacted state of this small closure is local (6 and 6, all bounded
+  // probes, while `compact()` kept small results Spark-held; 30 and 30, 2
+  // broadcasts, with the distinct as Dₒ ∘ ↑IncrementalDistinct ∘ Iₒ; 37 and
+  // 37, 8 broadcasts, with its hand-written four-corner join; 39 and 39
+  // before changes became driver-local).
+  private val TcInsertCeiling = 1
+  private val TcDeleteCeiling = 1
   // Empty transaction, same setting: 0 jobs (15 before the change-sized
   // nested operators, 16 before the composition).
   private val TcEmptyCeiling = 0
+  // The same update and empty transaction with the DAG compacted, hence
+  // local, before the load: 0, 0 and 0.
+  private val TcSmallUpdateCeiling = 0
+  private val TcSmallEmptyCeiling = 0
 
   // Small-delta tick / all-empty tick, same setting, with Spark-held bulk
   // state and local changes: join 2 / 0, distinct 1 / 0, grouped SUM 1 / 0,
@@ -253,10 +332,15 @@ object MetricsBudgetSpec {
   // joined with the whole relation as a plain plan).
   private val StreamJoinSmallCeiling = 1
   private val StreamJoinEmptyCeiling = 0
-  // Small-delta tick of global (keyless) SUM and MIN, same setting: 1 and 1
-  // (9 and 8 before).
-  private val GlobalSumSmallCeiling = 1
-  private val GlobalMinSmallCeiling = 1
+  // Small-delta tick of global (keyless) SUM, same setting: 0, its one
+  // accumulator row being local since `compact()` collects small results
+  // (1 before, 9 before driver-local changes).
+  private val GlobalSumSmallCeiling = 0
+  // Small-delta and all-empty ticks of join, stream join, distinct, grouped
+  // and global SUM and MIN over a 100-row load, which the operators' first
+  // `compact()` makes local: 0 jobs each (as the Spark-held ticks above,
+  // and global MIN 1, before small compacted results became local).
+  private val SmallStateCeiling = 0
   // A tick with a change of LocalLimit + 1 rows, same setting, as measured
   // before local Z-sets existed.
   private val JoinLargeJobs = 5

@@ -42,8 +42,9 @@ trait ZSetFixtures { self: SparkSpec =>
     values.toSeq.toDF(col)
   }
 
-  /** A Spark-held copy of `z`: its rows checkpointed, so it is never local,
-    * as a bulk load from `spark.range` is not.
+  /** A Spark-held copy of `z`: its rows checkpointed, so it is not local, as
+    * a bulk load from `spark.range` is not, until `compact()` collects it
+    * (at most `ZSet.LocalLimit` entries).
     */
   def held(z: ZSet): ZSet = ZSet.raw(z.df.localCheckpoint())
 
@@ -75,7 +76,8 @@ trait ZSetFixtures { self: SparkSpec =>
 
   /** Each change as a local Z-set, as a Spark-held one, and mixed: the
     * first change Spark-held (a bulk load), then local on the ticks `local`
-    * picks and Spark-held on the others.
+    * picks and Spark-held on the others. These changes are small, so an
+    * operator's first `compact()` of a Spark-held one makes it local.
     */
   def modes(changes: Seq[DataFrame], local: Int => Boolean = _ % 2 == 1): Seq[(String, Seq[ZSet])] = {
     val both = changes.map(localAndHeld)

@@ -54,10 +54,12 @@ class HarnessSpec extends SparkSpec with ZSetFixtures {
   }
 
   test("A consolidating append refers only to the state it consolidated") {
-    // A Spark-held first append, then local ones; the 16th consolidates. The
-    // value before it must not keep the superseded checkpoint reachable.
+    // A Spark-held first append of more than LocalLimit entries (a
+    // checkpoint), then local ones; the 16th consolidates. The value before
+    // it must not keep the superseded checkpoint reachable.
     val trace = new Trace
-    val deltas = held(zs1("k", 0L -> 1L)).compact() +: (1L to 15L).map(k => zs1("k", k -> 1L).compact())
+    val bulk = held(zs1("k", (-ZSet.LocalLimit.toLong to 0L).map(_ -> 1L): _*)).compact()
+    val deltas = bulk +: (1L to 15L).map(k => zs1("k", k -> 1L).compact())
     val befores = deltas.map(trace.append)
     def rdds(z: ZSet): Set[Int] = z.df.queryExecution.analyzed.collect { case r: LogicalRDD => r.rdd.id }.toSet
     assert(rdds(befores(1)).nonEmpty)

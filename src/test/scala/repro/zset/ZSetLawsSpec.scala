@@ -187,7 +187,8 @@ class ZSetLawsSpec extends SparkSpec with ZSetFixtures {
       "distinct" -> (_.distinctZ),
       "filter" -> (_.filterZ(col("k") > 0 || col("k").isNull)),
       "map" -> (_.mapRows("k * 2 AS k", "v")),
-      "project" -> (_.project("k")))
+      "project" -> (_.project("k")),
+      "compact" -> (_.compact()))
     val binary: Seq[(String, (ZSet, ZSet) => ZSet)] = Seq(
       "plus" -> (_.plus(_)),
       "minus" -> (_.minus(_)),
@@ -204,6 +205,13 @@ class ZSetLawsSpec extends SparkSpec with ZSetFixtures {
         assert(op(a, b).isLocal, s"$name of local operands is local")
         identical(s"$name, trial $trial", Seq(op(a, b), op(ah, bh), op(a, bh), op(ah, b)))
       }
+      // A Spark-held operand of at most LocalLimit entries compacts to a local one.
+      assert(ah.compact().isLocal, s"compact of a held operand is local, trial $trial")
+      // The bounded probe of Spark-held state (an `isin` filter) matches
+      // null, −0.0 and NaN keys as the probe of local state does.
+      val probes = Seq(a, ah).map(s => Trace.bounded(s, b, Seq("k")))
+      assert(probes.forall(_.exists(_.isLocal)), s"bounded probes, trial $trial")
+      identical(s"bounded probe, trial $trial", probes.map(_.get))
       val equal = Seq(a.zequals(b), ah.zequals(bh), a.zequals(bh), ah.zequals(b))
       assert(equal.distinct.size == 1, s"zequals, trial $trial")
       assert(a.zequals(ah) && ah.zequals(a) && a.minus(b).plus(b).zequals(ah))
