@@ -12,29 +12,35 @@ import repro.zset.{Trace, ZSet}
   * The two integrals are the operator's state (space O(R), §4.5), kept in
   * [[Trace]]s so each tick costs O(C): the change is compacted and appended,
   * the state is not rewritten. Each product is [[IncrementalBilinear.probed]]:
-  * the state probed with the change's `keys` (all of it for ×), the product
-  * finished on the driver when the change is local and the probe bounded.
+  * the Spark-held operand probed with the local one's `keys` (all of it for
+  * ×), the product finished on the driver when the probe is bounded.
   */
 class IncrementalBilinear(keys: Seq[String], times: (ZSet, ZSet) => ZSet)
     extends Op2[ZSet, ZSet, ZSet] {
   private val ia = Trace.integral // I(a)
   private val ib = Trace.pastSum  // z⁻¹(I(b))
 
-  def step(da: ZSet, db: ZSet): ZSet = {
-    val dac = da.compact()
-    val dbc = db.compact()
-    probed(ia.step(dac), dbc, keys)(times).plus(probed(ib.step(dbc), dac, keys)((s, c) => times(c, s)))
-  }
+  def step(da: ZSet, db: ZSet): ZSet = delta(da.compact(), db.compact())
+
+  /** The rule applied to `da` and `db` as given, uncompacted: the nested
+    * operator runs it at the inner clock on outer sums.
+    */
+  private[repro] def delta(da: ZSet, db: ZSet): ZSet =
+    probed(ia.step(da), db, keys)(times).plus(probed(ib.step(db), da, keys)((s, c) => times(c, s)))
 }
 
 object IncrementalBilinear {
   /** The product of a `state` (an integral) with a `change`, `times` taking
-    * them in that order: the state probed with the change's `keys` and the
-    * product finished on the driver when the probe is bounded
-    * ([[Trace.bounded]]), else the product with the change side broadcast.
+    * them in that order. Whichever operand Spark holds is probed with the
+    * local one's `keys` ([[Trace.bounded]]) and the product finished on the
+    * driver: the state when the change is local, else the change when the
+    * state is. When neither probe is bounded, the product with the change
+    * side broadcast.
     */
   def probed(state: ZSet, change: ZSet, keys: Seq[String])(times: (ZSet, ZSet) => ZSet): ZSet =
-    Trace.bounded(state, change, keys).fold(times(state, change.broadcastHint))(times(_, change))
+    Trace.bounded(state, change, keys).map(times(_, change))
+      .orElse(Trace.bounded(change, state, keys).map(times(state, _)))
+      .getOrElse(times(state, change.broadcastHint))
 }
 
 /** The incremental equi-join ⋈ on the shared `keys` columns. */

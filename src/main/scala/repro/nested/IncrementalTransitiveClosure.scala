@@ -13,8 +13,9 @@ final case class IncTcStats(innerIterations: Int, deltaSizesPerIteration: Seq[Lo
 /** The incrementally-maintained transitive closure — the final circuit of
   * §6.1 (Figure 2): [[IncrementalFixpoint]] over the rules of
   * [[TransitiveClosure.body]], one transaction ΔE per `step`. The join of
-  * the recursive rule becomes the 4-term [[NestedIncrementalBilinear]], the
-  * distinct a [[NestedIncrementalDistinct]], and the linear base-rule maps
+  * the recursive rule becomes a [[NestedIncrementalBilinear]] (Theorem 3.4
+  * at the outer clock around two flat incremental joins), the distinct a
+  * [[NestedIncrementalDistinct]], and the linear base-rule maps
   * pass deltas through unchanged at both levels.
   */
 final class IncrementalTransitiveClosure(spark: SparkSession) {

@@ -2,16 +2,17 @@ package repro.nested
 
 import repro.algebra.Group
 import repro.circuit.Op
-import repro.core.IncrementalBilinear.probed
-import repro.core.IncrementalDistinct
+import repro.core.{IncrementalBilinear, IncrementalDistinct}
 import repro.nested.NestedOp.{inner, outer}
 import repro.zset.{Trace, ZSet}
 
 /** The doubly-incremental bilinear operator `(↑(↑×)^Δ)^Δ` of §6, for ⋈ on
-  * `keys` (× without keys) of Z-sets: Theorem 3.4's one rule,
-  * Δ(a × b) = I(a) × Δb + Δa × z⁻¹I(b), applied once at each clock:
+  * `keys` (× without keys) of Z-sets: Theorem 3.4's rule at the outer clock,
+  * whose product ×ᵢ is the flat [[IncrementalBilinear]] lifted, the same
+  * rule at the inner clock:
   * {{{
-  *   out = IᵢIₒ(a) × b  +  Iₒ(a) × Zᵢ(b)  +  Iᵢ(a) × Zₒ(b)  +  a × ZᵢZₒ(b)
+  *   out = Iₒ(a) ×ᵢ b + a ×ᵢ Zₒ(b)          where  x ×ᵢ y = Iᵢ(x) × y + x × Zᵢ(y)
+  *       = IᵢIₒ(a) × b + Iₒ(a) × Zᵢ(b) + Iᵢ(a) × Zₒ(b) + a × ZᵢZₒ(b)
   * }}}
   * where Iᵢ/Iₒ are inner/outer integration and Zᵢ = ↑z⁻¹∘↑I, Zₒ = z⁻¹∘I.
   * Every term pairs a state, a sum over earlier outer ticks (IᵢIₒ(a),
@@ -20,39 +21,28 @@ import repro.zset.{Trace, ZSet}
   * recompute. `ga` and `gb` are the groups of the two operands, whose zeros
   * pad the outer sums' columns past a short row (see [[NestedOp.outer]]).
   *
-  * Work per step: six lazy trace appends ([[Trace.integral]],
-  * [[Trace.pastSum]]), which cost no job until a trace's consolidation, and
-  * four [[IncrementalBilinear.probed]] products. A product with a known-zero
-  * side costs nothing; otherwise the state is probed with the change-sized
-  * operand, one Spark job when the state is Spark-held and the operand
-  * local, and the product finishes on the driver.
+  * Work per step: two outer sums appended to their column's trace, and two
+  * flat rules ([[IncrementalBilinear.delta]]), each two lazy trace appends
+  * and two probed products; no trace costs a job until its consolidation.
+  * A product with a known-zero side costs nothing; otherwise the Spark-held
+  * side is probed with the change-sized one, one Spark job, and the product
+  * finishes on the driver.
   */
 final class NestedIncrementalBilinear(keys: Seq[String], times: (ZSet, ZSet) => ZSet)(
     ga: Group[ZSet], gb: Group[ZSet]) {
 
-  private val ioA   = outer(Trace.integral)(ga)   // Iₒ(a)
-  private val iiIoA = inner(Trace.integral)       // Iᵢ(Iₒ(a))
-  private val iiA   = inner(Trace.integral)       // Iᵢ(a)
-  private val ziB   = inner(Trace.pastSum)        // Zᵢ(b)
-  private val zoB   = outer(Trace.pastSum)(gb)    // Zₒ(b)
-  private val ziZoB = inner(Trace.pastSum)        // Zᵢ(Zₒ(b))
+  private val ioA = outer(Trace.integral)(ga) // Iₒ(a)
+  private val zoB = outer(Trace.pastSum)(gb)  // Zₒ(b)
+  private var left = new IncrementalBilinear(keys, times)  // Iₒ(a) ×ᵢ b: traces IᵢIₒ(a), Zᵢ(b)
+  private var right = new IncrementalBilinear(keys, times) // a ×ᵢ Zₒ(b): traces Iᵢ(a), ZᵢZₒ(b)
 
   def newOuterTick(): Unit = {
-    ioA.newOuterTick(); iiIoA.newOuterTick(); iiA.newOuterTick()
-    ziB.newOuterTick(); zoB.newOuterTick(); ziZoB.newOuterTick()
+    ioA.newOuterTick(); zoB.newOuterTick()
+    left = new IncrementalBilinear(keys, times); right = new IncrementalBilinear(keys, times)
   }
 
-  def step(a: ZSet, b: ZSet): ZSet = {
-    val ioAv   = ioA.step(a)
-    val iiIoAv = iiIoA.step(ioAv)
-    val iiAv   = iiA.step(a)
-    val ziBv   = ziB.step(b)
-    val zoBv   = zoB.step(b)
-    val ziZoBv = ziZoB.step(zoBv)
-    val flipped = (state: ZSet, change: ZSet) => times(change, state)
-    probed(iiIoAv, b, keys)(times).plus(probed(ioAv, ziBv, keys)(times))
-      .plus(probed(zoBv, iiAv, keys)(flipped)).plus(probed(ziZoBv, a, keys)(flipped))
-  }
+  def step(a: ZSet, b: ZSet): ZSet =
+    left.delta(ioA.step(a), b).plus(right.delta(a, zoB.step(b)))
 }
 
 /** The doubly-incremental distinct `(↑(↑distinct)^Δ)^Δ` of §6 (Figure 2),

@@ -26,7 +26,8 @@ final class Trace {
     state
   }
 
-  /** Add a delta as given (callers pass compacted ones) and return the value
+  /** Add a delta as given (a flat operator's compacted change, or an outer
+    * sum the nested bilinear rule passes uncompacted) and return the value
     * before it, z⁻¹(I) at this tick. Appending a known zero is free, and
     * appending a local delta to a Spark-held value is a lazy union that
     * costs no job until the next consolidation.

@@ -121,7 +121,7 @@ final class ZSet private (
       for (a <- entriesHeld; b <- that.entriesIn(dataCols)) yield a.iterator ++ b.iterator)
   }
 
-  /** Z-set negation (weights flipped). */
+  /** Z-set negation (every weight's sign reversed). */
   def negate: ZSet = unary(df.withColumn(W, -col(W)))
 
   def minus(that: ZSet): ZSet = plus(that.negate)

@@ -16,7 +16,8 @@ import repro.zset.{Trace, ZSet}
   * small-delta tick and an all-empty tick of the stateful relational
   * operators and of the relation-to-stream join over Spark-held state, stay
   * under ceilings, and a small-delta tick with a driver-local change
-  * launches no broadcast exchange. A single-edge update also launches fewer
+  * launches no broadcast exchange, nor does a single-edge update over
+  * Spark-held outer columns or a Spark-held change against local state. A single-edge update also launches fewer
   * jobs than recomputing the closure. State of at most `LocalLimit` entries
   * is local once compacted, and a tick over it launches no job. Ceilings are
   * the counts measured when they were set; they may only ever be lowered.
@@ -150,6 +151,23 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     assert(insertJobs.all < insertScratch.all && deleteJobs.all < deleteScratch.all)
   }
 
+  test("a single-edge update of the incremental transitive closure over Spark-held outer columns launches no broadcast") {
+    // More than LocalLimit edges: the bulk load and the outer sums of its
+    // columns stay Spark-held, so the update's products probe them.
+    val edges = ZSet.fromSet(SynthGraph.layeredEdges(spark, 3, 300, 2)).compact()
+    assert(!edges.isLocal)
+    val itc = new IncrementalTransitiveClosure(spark)
+    val (_, bulk) = itc.step(edges)
+    val updates = Seq((0L, 650L) -> 1L, (0L, 650L) -> -1L, (5L, 305L) -> 1L)
+    val jobs = updates.map(u => jobsByKind(itc.step(zs2("h", "t", u)))._2)
+    val inserted = edges.plus(zs2("h", "t", updates.head)).compact()
+    val (_, scratch) = jobsByKind(TransitiveClosure.semiNaive(inserted))
+    info(s"${edges.entryCount} edges, bulk deltas ${bulk.deltaSizesPerIteration.mkString("/")}; " +
+      s"jobs: updates ${jobs.mkString(", ")}; semiNaive $scratch")
+    for ((j, c) <- jobs.zip(LayeredTcCeilings)) assert(j.all <= c && j.broadcast == 0, s"jobs $j, ceiling $c")
+    assert(jobs.head.all < scratch.all)
+  }
+
   test("an empty transaction of the incremental transitive closure stays under its job ceiling") {
     val itc = new IncrementalTransitiveClosure(spark)
     itc.step(held(zs2("h", "t", dag.map(_ -> 1L): _*)))
@@ -266,6 +284,17 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     assert(j.all == JoinLargeJobs && d.all == DistinctLargeJobs)
   }
 
+  test("a Spark-held change of more than LocalLimit rows against local state is probed by the state's keys") {
+    val join = new IncrementalJoin(Seq("k"))
+    val kvb = StructType(Seq(StructField("k", LongType), StructField("vb", LongType)))
+    join.step(small("v"), small("vb")).compact()
+    // Keys 19 to 1043: only key 19 is in the state, in 5 of its rows.
+    val large = zs2("k", "v", (0L to ZSet.LocalLimit.toLong).map(i => (i + 19, i) -> 1L): _*)
+    val (out, j) = jobsByKind(join.step(large, ZSet.empty(spark, kvb)).compact())
+    info(s"jobs: $j")
+    assert(out.entryCount == 5L && j.all <= JoinLargeChangeSmallStateCeiling && j.broadcast == 0)
+  }
+
   test("a probe matching more than LocalLimit rows falls back to the broadcast plan") {
     val state = held(zs2("k", "v", (0L to ZSet.LocalLimit.toLong).map(i => (0L, i + 10) -> 1L): _*)).compact()
     val change = zs2("k", "v", (0L, 10L) -> -1L, (1L, 5L) -> 1L)
@@ -306,6 +335,13 @@ object MetricsBudgetSpec {
   // before changes became driver-local).
   private val TcInsertCeiling = 1
   private val TcDeleteCeiling = 1
+  // A 3 × 300 layered DAG (fanout 2, 1198 edges when measured), compacted
+  // and Spark-held, then +(0→650), −(0→650) and +(5→305): 6, 6 and 7 jobs,
+  // no broadcast, against 17 for `semiNaive` (3 broadcasts). Two of the
+  // nested join's products reach the flat rule with their operands swapped;
+  // without probing whichever side Spark holds they took 10, 10 and 11
+  // jobs, 2 of them broadcasts each.
+  private val LayeredTcCeilings = Seq(6, 6, 7)
   // Empty transaction, same setting: 0 jobs (15 before the change-sized
   // nested operators, 16 before the composition).
   private val TcEmptyCeiling = 0
@@ -341,6 +377,11 @@ object MetricsBudgetSpec {
   // `compact()` makes local: 0 jobs each (as the Spark-held ticks above,
   // and global MIN 1, before small compacted results became local).
   private val SmallStateCeiling = 0
+  // A join tick with a Spark-held change of LocalLimit + 1 rows against a
+  // 100-row state that its first `compact()` made local: 3 jobs, no
+  // broadcast, the change probed by the state's keys (6 with 1 broadcast
+  // when only the state was probed, and the change broadcast).
+  private val JoinLargeChangeSmallStateCeiling = 3
   // A tick with a change of LocalLimit + 1 rows, same setting, as measured
   // before local Z-sets existed.
   private val JoinLargeJobs = 5

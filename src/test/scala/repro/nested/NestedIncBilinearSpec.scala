@@ -6,8 +6,9 @@ import repro.core.IncrementalJoin
 import repro.zset.ZSet
 import repro.{SparkSpec, ZSetFixtures}
 
-/** Validates the 4-term nested incremental join
-  * `IᵢIₒ(a)⋈b + Iₒ(a)⋈Zᵢ(b) + Iᵢ(a)⋈Zₒ(b) + a⋈ZᵢZₒ(b)`, whose states are
+/** Validates the nested incremental join, Theorem 3.4 at the outer clock
+  * around the flat rule lifted (expanded,
+  * `IᵢIₒ(a)⋈b + Iₒ(a)⋈Zᵢ(b) + Iᵢ(a)⋈Zₒ(b) + a⋈ZᵢZₒ(b)`), whose states are
   * traces probed with the changes, on Z-sets with a nullable key: against
   * the brute-force `D ∘ ↑D ∘ ↑↑⋈ ∘ ↑I ∘ I` on random ragged matrices (each
   * computed cell against the zero-padded matrix's) and on local, Spark-held

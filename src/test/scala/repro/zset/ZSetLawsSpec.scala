@@ -228,6 +228,16 @@ class ZSetLawsSpec extends SparkSpec with ZSetFixtures {
     val joined = Set((Seq("0.000000", "1", "1"), 4L), (Seq("NaN", "1", "1"), 4L))
     for ((x, y) <- Seq(a -> b, ah -> bh, a -> bh, ah -> b))
       assert(entriesOf(x.join(y, Seq("k"))) == joined)
+    // A probe matches keys as they group: the bounded probe by a local `by`,
+    // and the broadcast semi-join a Spark-held `by` falls back to.
+    val nan = (e: (Seq[String], Long)) => e._1.head == "NaN"
+    for ((keys, matched) <- Seq(Seq[java.lang.Double](null, -0.0) -> expected.filterNot(nan),
+        Seq[java.lang.Double](Double.NaN) -> expected.filter(nan))) {
+      val (by, byH) = localAndHeld(dfKV("k", "u", keys.map((_, 1L, 1L))))
+      val probes = Seq(Trace.probe(a, by, Seq("k")), Trace.probe(ah, by, Seq("k")), Trace.probe(a, byH, Seq("k")),
+        Trace.probe(ah, byH, Seq("k")), Trace.semiJoin(a, by, Seq("k")), Trace.semiJoin(ah, byH, Seq("k")))
+      assert(probes.map(entriesOf).forall(_ == matched), s"probes by $keys")
+    }
   }
 
   test("weight overflow in a join and in a consolidation throws on both representations") {
