@@ -78,10 +78,12 @@ object GroupAggregate {
   * ones. For MIN it holds the full input integral, and the touched groups'
   * minima are recomputed from it — the paper's brute-force fallback. Either
   * way the old output rows are rendered from the state probed by the touched
-  * keys, so no copy of the view is kept. A local change costs one job, the
-  * bounded probe of the state ([[Trace.bounded]]); the per-row accumulator
-  * projections fold into local relations and the groups are merged on the
-  * driver.
+  * keys, so no copy of the view is kept. A local change finds the touched
+  * groups' state in the trace's driver-side index when the state fits it
+  * (one Spark job, the index's build, on the first such change), else by one
+  * bounded probe that scans the state ([[Trace.bounded]]); the per-row
+  * accumulator projections fold into local relations and the groups are
+  * merged on the driver.
   *
   * A global aggregate (§7.2) is the grouping by the empty key, `keys = Nil`:
   * every non-zero change touches the one group, and the probe returns the
@@ -99,12 +101,12 @@ final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
       val accChange = f match {
         case _: AggFunc.Min =>
           val dc = d.compact()
-          val old = state.probe(dc, keys)
+          val old = probe(dc)
           state.append(dc)
           accumulate(old.plus(dc).consolidate()).minus(accumulate(old.consolidate()))
         case _ =>
           val dAcc = accumulate(d)
-          val old = state.probe(dAcc, keys).consolidate()
+          val old = probe(dAcc).consolidate()
           val change = merge(old, dAcc).minus(old).compact()
           state.append(change)
           change
@@ -114,6 +116,10 @@ final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
         .select((keys.map(col) :+ (GroupAggregate.render(f) as f.alias) :+ col(W)): _*))
         .compact()
     }
+
+  /** The state of the groups `by` touches: none before the first append. */
+  private def probe(by: ZSet): ZSet =
+    if (state.isEmpty) ZSet.empty(by.spark, by.dataSchema) else state.probe(by, keys)
 
   /** One accumulator row per group of `z`, weight 1. */
   private def accumulate(z: ZSet): ZSet = z.aggregate(keys, GroupAggregate.accs(f))

@@ -12,30 +12,30 @@ import repro.zset.{Trace, ZSet}
   *                 0  otherwise
   * }}}
   * Only multiplicities of tuples present in the change `d` can flip sign, so
-  * the evaluation probes the stored integral with d's support before
-  * aggregating; the state is a [[Trace]]. Time O(|d|) per tick (plus the
-  * unavoidable state scan), space O(R) — exactly §4.5's accounting.
+  * each tick probes the stored integral, a [[Trace]], with d's support
+  * before appending d, and aggregates only the matches. A local change finds
+  * them in the trace's driver-side index when the integral fits it, else by
+  * one bounded probe that scans the integral. Time O(|d|) per tick, space
+  * O(R) — exactly §4.5's accounting.
   */
 final class IncrementalDistinct extends Op[ZSet, ZSet] {
   private val i = new Trace // I(d)
 
   def step(d: ZSet): ZSet = {
     val dc = d.compact()
-    IncrementalDistinct.h(i.append(dc), dc)
+    val im = if (i.isEmpty) ZSet.empty(dc.spark, dc.dataSchema) else i.probe(dc, dc.dataCols)
+    i.append(dc)
+    IncrementalDistinct.h(im, dc)
   }
 }
 
 object IncrementalDistinct {
-  /** The H function of Proposition 4.7, evaluated only on the support of `d`:
-    * the integral is first probed with d's tuples, giving `im`, and then
-    * H = distinct(im + d) − distinct(im), since supp(im) ⊆ supp(d). With a
-    * local `d` and a bounded probe this runs on the driver. A known-zero `d`
-    * gives a known zero.
+  /** The H function of Proposition 4.7 given `im`, the integral probed with
+    * d's tuples (the whole integral will do): H = distinct(im + d) −
+    * distinct(im), since H is zero off supp(d). With a local `d` and a
+    * bounded probe this runs on the driver. A known-zero `d` gives a known
+    * zero.
     */
-  def h(i: ZSet, d: ZSet): ZSet =
-    if (d.isKnownZero) d
-    else {
-      val im = Trace.probe(i, d, d.dataCols)
-      d.plus(im).distinctZ.minus(im.distinctZ)
-    }
+  def h(im: ZSet, d: ZSet): ZSet =
+    if (d.isKnownZero) d else d.plus(im).distinctZ.minus(im.distinctZ)
 }

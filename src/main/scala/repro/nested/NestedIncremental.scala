@@ -86,6 +86,7 @@ final class NestedIncrementalDistinct(implicit g: Group[ZSet]) {
 
   def step(d: ZSet): ZSet = {
     val dc = d.compact()
-    diff.step(IncrementalDistinct.h(before.step(past.step(dc)), prefix.step(dc)))
+    val (state, row) = (before.step(past.step(dc)), prefix.step(dc))
+    diff.step(IncrementalDistinct.h(Trace.probe(state, row, row.dataCols), row))
   }
 }

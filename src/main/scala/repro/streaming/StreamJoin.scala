@@ -10,12 +10,16 @@ import repro.zset.{Trace, ZSet}
   * transient data (logs/telemetry) that is matched against the accumulated
   * relation and then discarded — `t` is never stored. Like every state ×
   * change product, the join probes the relation with the batch's keys
-  * ([[IncrementalBilinear.probed]]): one Spark job for a local batch against
-  * a Spark-held relation, none for an empty batch.
+  * ([[IncrementalBilinear.probed]]): none for an empty batch, and for a
+  * local batch against a Spark-held relation the lookup in the relation
+  * trace's index (one Spark job to build it, on the first such batch), or
+  * one bounded probe when the relation is too large to index.
   */
 final class StreamRelationJoin(keys: Seq[String]) extends Op2[ZSet, ZSet, ZSet] {
-  private val rel = Trace.integral // I(s)
+  private val rel = new Trace // I(s)
 
-  def step(ds: ZSet, batch: ZSet): ZSet =
-    IncrementalBilinear.probed(rel.step(ds.compact()), batch, keys)(_.join(_, keys))
+  def step(ds: ZSet, batch: ZSet): ZSet = {
+    rel.append(ds.compact())
+    IncrementalBilinear.probed(rel, batch, keys)(_.join(_, keys))
+  }
 }

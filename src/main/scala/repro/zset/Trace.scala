@@ -13,18 +13,28 @@ import repro.circuit.Op
   * for stateful operators (§4.5): O(C) time per tick, O(R) space. The value
   * may be unconsolidated; every Z-set operator is indifferent to that.
   *
-  * A trace takes its schema from the first Z-set it is given (appended or
-  * probed by); until then it is the zero of that schema. A bulk load is just
-  * the first append (§4.5: the stream's first transaction).
+  * A trace takes its schema from the first Z-set appended to it; until then
+  * it is a zero of unknown schema ([[isEmpty]]), which cannot be probed. A
+  * bulk load is just the first append (§4.5: the stream's first
+  * transaction).
+  *
+  * Index: a Spark-held state of at most `IndexLimit` entries is also kept
+  * on the driver as a hash index of its consolidated entries by the columns
+  * it is probed on ([[ZSet.Index]], after differential dataflow's
+  * arrangements), so a local change finds its matches without a Spark job.
+  * The index is built by the first probe by a local change once the trace
+  * knows, without a job, that the state fits: the count of its last
+  * checkpoint plus the counts of the chunks appended since. Building it is
+  * one `collect` of the state, in place of that probe's job. A local append
+  * updates it in O(|delta|); an append Spark holds drops it. The Spark copy
+  * stays the value: appends, consolidation and `value` are unchanged.
   */
 final class Trace {
   private var state: ZSet = _
   private var chunks = 0
-
-  private def valueLike(z: ZSet): ZSet = {
-    if (state == null) state = ZSet.empty(z.spark, z.dataSchema)
-    state
-  }
+  // At least the state's entry count, known without a job (see "Index").
+  private var bound: Option[Long] = Some(0L)
+  private var index: Option[ZSet.Index] = None
 
   /** Add a delta as given (a flat operator's compacted change, or an outer
     * sum the nested bilinear rule passes uncompacted) and return the value
@@ -40,14 +50,19 @@ final class Trace {
     * checkpoint, whichever tick consolidated last.
     */
   def append(d: ZSet): ZSet = {
-    val before = valueLike(d)
+    if (state == null) state = ZSet.empty(d.spark, d.dataSchema)
+    val before = state
     if (d.isKnownZero) before
     else {
       state = before.plus(d)
+      bound = for (n <- bound; m <- d.knownSize) yield n + m
+      index = index.filter(i => i.add(d) && i.size <= Trace.IndexLimit)
       chunks += 1
       if (chunks < Trace.ConsolidateEvery) before
       else {
         state = state.compact()
+        bound = state.knownSize
+        if (state.isLocal) index = None
         chunks = 0
         state.minus(d)
       }
@@ -60,15 +75,44 @@ final class Trace {
     state
   }
 
-  /** The value restricted to the tuples whose `keys` columns match a tuple
-    * of `by` (see [[Trace.probe]]).
+  /** Known to be zero without a Spark job: never given a Z-set, or its
+    * value a known zero.
     */
-  def probe(by: ZSet, keys: Seq[String]): ZSet = Trace.probe(valueLike(by), by, keys)
+  def isEmpty: Boolean = state == null || state.isKnownZero
+
+  /** The value restricted to the tuples whose `keys` columns match a tuple
+    * of `by`: [[bounded]] when it applies, else the broadcast semi-join
+    * ([[Trace.semiJoin]]).
+    */
+  def probe(by: ZSet, keys: Seq[String]): ZSet = bounded(by, keys).getOrElse(Trace.semiJoin(value, by, keys))
+
+  /** The probe as a local Z-set, `None` when `by` is not local or more than
+    * `ZSet.LocalLimit` tuples match. A local `by` against a Spark-held
+    * value with keys is answered by the index, built here if the state is
+    * known to fit; without one, it is [[Trace.bounded]]'s one-job probe.
+    */
+  def bounded(by: ZSet, keys: Seq[String]): Option[ZSet] = {
+    val v = value
+    if (v.isLocal || !by.isLocal || by.isKnownZero || keys.isEmpty) Trace.bounded(v, by, keys)
+    else {
+      index = index.map(_.on(keys)).orElse(bound.filter(_ <= Trace.IndexLimit).flatMap(_ => v.index(keys)))
+      index.fold(Trace.bounded(v, by, keys))(_.restrictTo(by, v.df))
+    }
+  }
 }
 
 object Trace {
   /** Appends between two consolidations of a trace. */
   private val ConsolidateEvery = 16
+
+  /** The most entries a trace's index holds: the largest power of two at
+    * which building it, one `collect` of the state, costs about the bounded
+    * probe it replaces (75 ms at 65536 rows, 354 ms at 131072; Spark 4.1.2,
+    * `local[4]`). An index takes about 160 bytes of driver heap per entry,
+    * 10.7 MB at the limit (DESIGN.md, mechanism 4). It covers the 30k-row
+    * states of `orders_trickle` and leaves E2/E3's 1M-row states in Spark.
+    */
+  private[repro] val IndexLimit = 65536
 
   /** I over a Z-set stream, kept in a trace: each step appends its input
     * and returns the integral, so a step costs no job until a
@@ -89,9 +133,8 @@ object Trace {
 
   /** `z` restricted to the tuples whose `keys` columns match a tuple of `by`
     * (null keys match null, as they group): the bounded probe when it
-    * applies (see [[bounded]]), else a left-semi join against the broadcast
-    * keys of `by`, the change-sized side — Spark's analogue of an indexed
-    * state lookup.
+    * applies (see [[bounded]]), else the broadcast semi-join of
+    * [[semiJoin]].
     */
   def probe(z: ZSet, by: ZSet, keys: Seq[String]): ZSet =
     bounded(z, by, keys).getOrElse(semiJoin(z, by, keys))
@@ -108,8 +151,9 @@ object Trace {
     else if (by.isLocal) z.restrictTo(by, keys)
     else None
 
-  /** The probe as a broadcast left-semi join, null keys matching null: a
-    * lazy Spark plan.
+  /** The probe as a left-semi join against the broadcast keys of `by`, null
+    * keys matching null: a lazy Spark plan, taken when `by` is not local or
+    * the bounded probe matches more than `ZSet.LocalLimit` rows.
     */
   def semiJoin(z: ZSet, by: ZSet, keys: Seq[String]): ZSet = {
     val probeKeys = by.df.select(keys.map(k => col(k) as s"__p_$k"): _*)

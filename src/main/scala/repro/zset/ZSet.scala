@@ -42,13 +42,15 @@ import repro.algebra.Group
   * exactly those entries (a known zero is local). Three things make a local
   * Z-set: a plan that Spark's optimizer reduces to a local relation of at
   * most `LocalLimit` rows (collecting it runs no job), a bounded probe
-  * ([[restrictTo]]), and `compact()` of a result of at most `LocalLimit`
-  * entries (its checkpoint, collected once). No other Spark plan is ever
-  * collected. Between local operands, `plus`, consolidation, ⋈ and × run on
-  * the driver; σ, π, map, negation, scaling and distinct stay Spark
-  * expressions, which the optimizer folds into a local relation again. A
-  * result with more than `LocalLimit` entries, and any result with a
-  * non-local operand, is the lazy Spark plan it always was. Local
+  * ([[restrictTo]], or a lookup in a trace's [[ZSet.Index]]), and
+  * `compact()` of a result of at most `LocalLimit` entries (its checkpoint,
+  * collected once). The only other Spark plan ever collected is a trace's
+  * state when it builds its index. Between local operands, `plus`,
+  * consolidation, ⋈ and × run on the driver; σ, π, map, negation, scaling
+  * and distinct stay Spark expressions, which the optimizer folds into a
+  * local relation again. A result with more than `LocalLimit` entries, and
+  * any result with a non-local operand, is the lazy Spark plan it always
+  * was. Local
   * arithmetic follows Spark's: grouping puts nulls together and treats −0.0
   * as 0.0 and NaN as equal to NaN, join keys never match on null, and
   * weight overflow throws.
@@ -67,6 +69,9 @@ final class ZSet private (
 
   /** Schema of the data columns only. */
   def dataSchema: StructType = StructType(df.schema.fields.filterNot(_.name == W))
+
+  /** The entry count, when it is known without a Spark job. */
+  private[zset] def knownSize: Option[Long] = knownCount
 
   /** Known to be the zero Z-set without running a Spark job. */
   private[repro] def isKnownZero: Boolean = knownCount.contains(0L)
@@ -208,8 +213,7 @@ final class ZSet private (
     * state; a join drops null keys itself.
     */
   private[repro] def restrictTo(by: ZSet, keys: Seq[String]): Option[ZSet] = {
-    require(by.isLocal, "restrictTo: the probing Z-set must be local")
-    val wanted = by.entriesHeld.get.map { case (r, _) => ZSet.keyOf(r, keys.map(by.dataCols.indexOf)) }.toSet
+    val wanted = ZSet.keysOf(by, keys)
     val at = keys.map(dataCols.indexOf)
     def matching(es: Iterator[(Row, Long)]) = es.filter { case (r, _) => wanted(ZSet.keyOf(r, at)) }
     entriesHeld match {
@@ -234,6 +238,17 @@ final class ZSet private (
         else Some(ZSet.fromEntries(df, Some(matching(ZSet.split(df.schema, got)))))
     }
   }
+
+  /** A driver-side hash index of the consolidated entries by `keys`
+    * ([[ZSet.Index]]), built by one `collect` of `df`. `None`, without a
+    * job, when the columns do not group on the driver as in Spark.
+    */
+  private[zset] def index(keys: Seq[String]): Option[ZSet.Index] =
+    Option.when(ZSet.groupable(df.schema)) {
+      val i = new ZSet.Index(dataCols, keys)
+      i.add(ZSet.split(df.schema, df.collect()))
+      i
+    }
 
   // ------------------------------------------------------------- observations
 
@@ -287,10 +302,12 @@ final class ZSet private (
       .drop(W, "__i")
   }
 
-  /** Mark this Z-set for broadcast in a following join. Incremental operators
-    * broadcast the *change-sized* side of each delta-vs-state join: this is
-    * the Spark analogue of DBSP's indexed-state lookup (the global
-    * auto-broadcast threshold stays disabled; the hint is deliberate).
+  /** Mark this Z-set for broadcast in a following join. Only the fallback
+    * of `IncrementalBilinear.probed` uses it: a state × change product whose
+    * operands' probes are not bounded broadcasts its change side (the
+    * global auto-broadcast threshold stays disabled; the hint is
+    * deliberate). A bounded probe, or a trace's driver-side index, is how
+    * the operators look state up.
     */
   def broadcastHint: ZSet = new ZSet(broadcast(df), knownCount, localEntries)
 
@@ -515,6 +532,64 @@ object ZSet {
 
   /** The values of `r` at `at`, normalized as Spark groups them. */
   private def keyOf(r: Row, at: Seq[Int]): Row = Row.fromSeq(at.map(i => normalize(r.get(i))))
+
+  /** The `keys` values of the local `by`'s tuples, normalized. */
+  private def keysOf(by: ZSet, keys: Seq[String]): Set[Row] = {
+    require(by.isLocal, "probe: the probing Z-set must be local")
+    val at = keys.map(by.dataCols.indexOf)
+    by.entriesHeld.get.iterator.map { case (r, _) => keyOf(r, at) }.toSet
+  }
+
+  /** A driver-side hash index of consolidated entries, after differential
+    * dataflow's arrangements: the entries (values in `cols` order,
+    * normalized as Spark groups them, with their weights) bucketed by their
+    * `keys` values, so a probe reads only the buckets of its keys and
+    * matches keys as they group (null with null, −0.0 with 0.0, NaN with
+    * NaN). Adding entries sums weights, overflow-checked, and drops zeros.
+    */
+  private[zset] final class Index(cols: Seq[String], keys: Seq[String]) {
+    private val at = keys.map(cols.indexOf)
+    private val buckets = mutable.HashMap.empty[Row, mutable.HashMap[Row, Long]]
+    private var entries = 0
+
+    /** The number of entries held. */
+    def size: Int = entries
+
+    /** Add the entries of `d`; `false`, adding nothing, when `d` is not local. */
+    def add(d: ZSet): Boolean = d.entriesIn(cols).exists { es => add(es.iterator); true }
+
+    private[ZSet] def add(es: Iterator[(Row, Long)]): Unit = es.foreach { case (r, w) =>
+      val row = keyOf(r, 0 until r.length)
+      val key = keyOf(row, at)
+      val bucket = buckets.getOrElseUpdate(key, mutable.HashMap.empty)
+      val sum = Math.addExact(bucket.getOrElse(row, 0L), w)
+      if (sum != 0L) { if (bucket.put(row, sum).isEmpty) entries += 1 }
+      else if (bucket.remove(row).isDefined) {
+        entries -= 1
+        if (bucket.isEmpty) buckets.remove(key)
+      }
+    }
+
+    /** The same entries bucketed by `other` (re-bucketed on the driver when
+      * it differs from `keys`).
+      */
+    def on(other: Seq[String]): Index =
+      if (other == keys) this
+      else {
+        val i = new Index(cols, other)
+        i.add(buckets.valuesIterator.flatMap(_.iterator))
+        i
+      }
+
+    /** The entries whose keys match a tuple of the local `by`, as a local
+      * Z-set with `plan`'s schema; `None` when more than `LocalLimit` match.
+      */
+    def restrictTo(by: ZSet, plan: DataFrame): Option[ZSet] = {
+      val found = keysOf(by, keys).iterator.flatMap(k => buckets.get(k).iterator.flatMap(_.iterator))
+      val got = found.take(LocalLimit + 1).toVector
+      Option.when(got.size <= LocalLimit)(fromEntries(plan, Some(got.iterator)))
+    }
+  }
 
   /** The canonical text of one value, shared by every comparison of rows
     * across engines: nulls marked, floating point rounded to 6 places.

@@ -49,15 +49,17 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     */
   private def small(v: String): ZSet = held(zs2("k", v, (0L until 100L).map(i => (i % 20, i) -> 1L): _*))
 
-  /** After `load`, the jobs of one small-delta tick and of one all-empty
+  /** After `load`, the jobs of two small-delta ticks and of one all-empty
     * tick, each output materialized the way a consumer of the view would.
     */
-  private def tickJobs(name: String)(load: => ZSet, small: => ZSet, empty: => ZSet): (JobCount, JobCount) = {
+  private def tickJobs(name: String)(load: => ZSet, small: => ZSet, again: => ZSet,
+                                     empty: => ZSet): (JobCount, JobCount, JobCount) = {
     load.compact()
     val (_, s) = jobsByKind(small.compact())
+    val (_, a) = jobsByKind(again.compact())
     val (_, e) = jobsByKind(empty.compact())
-    info(s"$name jobs: small-delta tick $s, all-empty tick $e")
-    (s, e)
+    info(s"$name jobs: small-delta ticks $s and $a, all-empty tick $e")
+    (s, a, e)
   }
 
   test("known-zero plus, mapRows, join, compact, isEmpty and entryCount launch no job") {
@@ -192,51 +194,79 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
   test("a small-delta and an all-empty tick of IncrementalJoin stay under their job ceilings") {
     val op = new IncrementalJoin(Seq("k"))
     val kvb = StructType(Seq(StructField("k", LongType), StructField("vb", LongType)))
-    val (small, empty) = tickJobs("join")(
+    val (small, again, empty) = tickJobs("join")(
       op.step(bulk("v"), bulk("vb")),
       op.step(zs2("k", "v", (3L, 1000L) -> 1L, (4L, 4L) -> -1L), zs2("k", "vb", (5L, 2000L) -> 1L)),
+      op.step(zs2("k", "v", (6L, 1001L) -> 1L, (7L, 7L) -> -1L), zs2("k", "vb", (3L, 2001L) -> 1L)),
       op.step(ZSet.empty(spark, kv), ZSet.empty(spark, kvb)))
     assert(small.all <= JoinSmallCeiling && small.broadcast == 0 && empty.all <= JoinEmptyCeiling)
+    assert(again.all <= IndexedTickCeiling)
   }
 
   test("a small-batch and an all-empty tick of StreamRelationJoin stay under their job ceilings") {
     val op = new StreamRelationJoin(Seq("k"))
     val kev = StructType(Seq(StructField("k", LongType), StructField("ev", LongType)))
-    val (small, empty) = tickJobs("stream join")(
+    val (small, again, empty) = tickJobs("stream join")(
       op.step(bulk("v"), ZSet.empty(spark, kev)),
       op.step(ZSet.empty(spark, kv), zs2("k", "ev", (3L, 7L) -> 1L, (4L, 8L) -> 1L)),
+      op.step(zs2("k", "v", (6L, 1001L) -> 1L), zs2("k", "ev", (6L, 9L) -> 1L)),
       op.step(ZSet.empty(spark, kv), ZSet.empty(spark, kev)))
     assert(small.all <= StreamJoinSmallCeiling && small.broadcast == 0 && empty.all <= StreamJoinEmptyCeiling)
+    assert(again.all <= IndexedTickCeiling)
   }
 
   test("a small-delta and an all-empty tick of IncrementalDistinct stay under their job ceilings") {
     val op = new IncrementalDistinct
-    val (small, empty) = tickJobs("distinct")(
+    val (small, again, empty) = tickJobs("distinct")(
       op.step(bulk("v").project("k")),
       op.step(zs1("k", 3L -> -5L, 500L -> 1L)),
+      op.step(zs1("k", 3L -> 5L, 6L -> -1L, 5000L -> 1L)),
       op.step(ZSet.empty(spark, StructType(Seq(StructField("k", LongType))))))
     assert(small.all <= DistinctSmallCeiling && small.broadcast == 0 && empty.all <= DistinctEmptyCeiling)
+    assert(again.all <= IndexedTickCeiling)
+  }
+
+  test("a small-delta tick over a trace of more than IndexLimit entries takes the bounded probe") {
+    val k = StructType(Seq(StructField("k", LongType)))
+    val load = ZSet.fromSet(spark.range(0L, Trace.IndexLimit + 1L).toDF("k")).compact()
+    val distinct = new IncrementalDistinct
+    val min = new IncrementalGroupAggregate(Seq("k"), AggFunc.Min("v"))
+    val ticks = Seq(
+      tickJobs("unindexed distinct")(
+        distinct.step(load),
+        distinct.step(zs1("k", 3L -> -1L, 70000L -> 1L)),
+        distinct.step(zs1("k", 4L -> -1L, 70001L -> 1L)),
+        distinct.step(ZSet.empty(spark, k))),
+      tickJobs("unindexed MIN")(
+        min.step(load.mapRows("k % 100 AS k", "k AS v")),
+        min.step(zs2("k", "v", (3L, 3L) -> -1L)),
+        min.step(zs2("k", "v", (4L, -4L) -> 1L)),
+        min.step(ZSet.empty(spark, kv))))
+    assert(ticks.forall { case (s, a, e) =>
+      s.all == UnindexedSmallJobs && a.all == UnindexedSmallJobs && s.broadcast == 0 && e.all == 0 })
   }
 
   /** The small-delta and all-empty tick jobs of an incremental aggregate
     * loaded with `load`.
     */
-  private def aggTicks(name: String, keys: Seq[String], f: AggFunc, load: ZSet): (JobCount, JobCount) = {
+  private def aggTicks(name: String, keys: Seq[String], f: AggFunc, load: ZSet): (JobCount, JobCount, JobCount) = {
     val op = new IncrementalGroupAggregate(keys, f)
     tickJobs(name)(
       op.step(load),
       op.step(zs2("k", "v", (3L, 1000L) -> 1L, (4L, 4L) -> -1L)),
+      op.step(zs2("k", "v", (3L, 1000L) -> -1L, (6L, -6L) -> 1L, (5000L, 1L) -> 1L)),
       op.step(ZSet.empty(spark, kv)))
   }
 
   test("a small-delta and an all-empty tick of grouped SUM and MIN stay under their job ceilings") {
-    val (sumSmall, sumEmpty) = aggTicks("SUM", Seq("k"), AggFunc.Sum("v"), bulk("v"))
-    val (minSmall, minEmpty) = aggTicks("MIN", Seq("k"), AggFunc.Min("v"), bulk("v"))
+    val (sumSmall, sumAgain, sumEmpty) = aggTicks("SUM", Seq("k"), AggFunc.Sum("v"), bulk("v"))
+    val (minSmall, minAgain, minEmpty) = aggTicks("MIN", Seq("k"), AggFunc.Min("v"), bulk("v"))
     // A global SUM's state is one accumulator row, local however large its input.
-    val (gSumSmall, gSumEmpty) = aggTicks("global SUM", Nil, AggFunc.Sum("v"), bulk("v"))
+    val (gSumSmall, _, gSumEmpty) = aggTicks("global SUM", Nil, AggFunc.Sum("v"), bulk("v"))
     assert(sumSmall.all <= SumSmallCeiling && sumEmpty.all <= SumEmptyCeiling)
     assert(minSmall.all <= MinSmallCeiling && minEmpty.all <= MinEmptyCeiling)
     assert(gSumSmall.all <= GlobalSumSmallCeiling && gSumEmpty.all == 0)
+    assert(sumAgain.all <= IndexedTickCeiling && minAgain.all <= IndexedTickCeiling)
     assert(Seq(sumSmall, minSmall, gSumSmall).forall(_.broadcast == 0))
   }
 
@@ -250,14 +280,17 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
       tickJobs("small-state join")(
         join.step(small("v"), small("vb")),
         join.step(zs2("k", "v", (3L, 1000L) -> 1L, (4L, 4L) -> -1L), zs2("k", "vb", (5L, 2000L) -> 1L)),
+        join.step(zs2("k", "v", (6L, 1001L) -> 1L), zs2("k", "vb", (3L, 2001L) -> 1L)),
         join.step(ZSet.empty(spark, kv), ZSet.empty(spark, kvb))),
       tickJobs("small-state stream join")(
         streamJoin.step(small("v"), ZSet.empty(spark, kev)),
         streamJoin.step(ZSet.empty(spark, kv), zs2("k", "ev", (3L, 7L) -> 1L, (4L, 8L) -> 1L)),
+        streamJoin.step(zs2("k", "v", (6L, 1001L) -> 1L), zs2("k", "ev", (6L, 9L) -> 1L)),
         streamJoin.step(ZSet.empty(spark, kv), ZSet.empty(spark, kev))),
       tickJobs("small-state distinct")(
         distinct.step(small("v").project("k")),
         distinct.step(zs1("k", 3L -> -5L, 500L -> 1L)),
+        distinct.step(zs1("k", 3L -> 5L, 6L -> -1L)),
         distinct.step(ZSet.empty(spark, StructType(Seq(StructField("k", LongType)))))),
       aggTicks("small-state SUM", Seq("k"), AggFunc.Sum("v"), small("v")),
       aggTicks("small-state MIN", Seq("k"), AggFunc.Min("v"), small("v")),
@@ -265,7 +298,7 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
       // A global MIN's state is its whole input: above LocalLimit its probe
       // takes the broadcast plan (tested below), at most LocalLimit it is local.
       aggTicks("small-state global MIN", Nil, AggFunc.Min("v"), small("v")))
-    assert(ticks.forall { case (s, e) => s.all <= SmallStateCeiling && e.all <= SmallStateCeiling })
+    assert(ticks.forall { case (s, a, e) => Seq(s, a, e).forall(_.all <= SmallStateCeiling) })
   }
 
   test("a change of more than LocalLimit rows is not local and costs what it did before") {
@@ -368,6 +401,16 @@ object MetricsBudgetSpec {
   // joined with the whole relation as a plain plan).
   private val StreamJoinSmallCeiling = 1
   private val StreamJoinEmptyCeiling = 0
+  // The second small-delta tick of join, stream join, distinct, grouped SUM
+  // and grouped MIN, same setting: 0 jobs each, every probed trace's state
+  // found in the driver-side index the first tick built (the first tick's
+  // collect took the place of its bounded probe, so its ceiling above is
+  // unchanged; 2, 1, 1, 1 and 1 before the index, like the first tick's).
+  private val IndexedTickCeiling = 0
+  // A small-delta tick of distinct and grouped MIN over a Spark-held trace
+  // of IndexLimit + 1 entries, too many to index: 1 job, the bounded probe,
+  // on the first tick and the second.
+  private val UnindexedSmallJobs = 1
   // Small-delta tick of global (keyless) SUM, same setting: 0, its one
   // accumulator row being local since `compact()` collects small results
   // (1 before, 9 before driver-local changes).

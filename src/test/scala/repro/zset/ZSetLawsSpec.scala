@@ -5,6 +5,11 @@ import scala.util.Random
 import org.apache.spark.sql.functions.col
 
 import repro.{SparkSpec, ZSetFixtures}
+import repro.agg.{AggFunc, GroupAggregate, IncrementalGroupAggregate}
+import repro.core.{IncrementalDistinct, IncrementalJoin}
+import repro.metrics.JobCounter
+import repro.relational.BatchEval
+import repro.relational.ZExpr.{ZDistinct, ZInput, ZJoin, ZMap}
 
 /** Randomized (seeded) checks of the Z-set laws the optimizer relies on:
   * Propositions 4.5 and 4.6, distinct/positivity interactions, and the
@@ -218,6 +223,52 @@ class ZSetLawsSpec extends SparkSpec with ZSetFixtures {
     }
   }
 
+  test("incremental operators over indexed traces equal batch evaluation on every tick") {
+    // Spark-held bulk loads of more than LocalLimit entries (H), then ticks
+    // that are local (L, deleting an absent row too), Spark-held (H, more
+    // than LocalLimit entries) or empty (E). The first local tick after a
+    // Spark-held one builds each probed trace's index by one job; a local
+    // tick after a local one finds the indexes maintained and launches no
+    // job, except at the 16th append, which consolidates.
+    val rnd = new Random(11)
+    val modes = "HLLELHLLELLHLLLLLL"
+    def change(v: String, mode: Char, t: Int): ZSet = mode match {
+      case 'E' => ZSet.empty(spark, zs2("k", v).dataSchema)
+      case 'L' => zs2("k", v, Seq.fill(4)((rnd.nextInt(1300).toLong, rnd.nextInt(3).toLong) ->
+        (if (rnd.nextBoolean()) 1L else -1L)) :+ ((5000L + t, 0L) -> -1L): _*)
+      case _ =>
+        val (from, n) = if (t == 0) (0, 2400) else (rnd.nextInt(600), ZSet.LocalLimit + 100)
+        held(zs2("k", v, (from until from + n).map(k => (k % 1200L, rnd.nextInt(3).toLong) -> 1L): _*))
+    }
+    val join = new IncrementalJoin(Seq("k"))
+    val distinct = new IncrementalDistinct
+    val (sum, min) = (new IncrementalGroupAggregate(Seq("k"), AggFunc.Sum("v")),
+      new IncrementalGroupAggregate(Seq("k"), AggFunc.Min("v")))
+    val circuits = Seq(ZJoin(ZInput("a"), ZInput("b"), Seq("k")), ZDistinct(ZMap(ZInput("a"), Seq("k"))))
+    var (snapA, snapB) = (ZSet.empty(spark, zs2("k", "v").dataSchema), ZSet.empty(spark, zs2("k", "u").dataSchema))
+    var outs = Seq.empty[ZSet]
+    var appends = 0
+    for ((mode, t) <- modes.zipWithIndex) {
+      val (da, db) = (change("v", mode, t), change("u", mode, t))
+      val (out, jobs) = Seq[() => ZSet](() => join.step(da, db), () => distinct.step(da.project("k")),
+        () => sum.step(da), () => min.step(da)).map(step => JobCounter.count(spark)(step())).unzip
+      snapA = snapA.plus(da).compact(); snapB = snapB.plus(db).compact()
+      outs = if (outs.isEmpty) out else outs.zip(out).map { case (o, d) => o.plus(d).compact() }
+      val inputs = Map("a" -> snapA, "b" -> snapB)
+      val expected = circuits.map(BatchEval.eval(_, inputs)) ++
+        Seq(AggFunc.Sum("v"), AggFunc.Min("v")).map(GroupAggregate.batch(snapA, Seq("k"), _))
+      for ((name, (o, e)) <- Seq("join", "distinct", "SUM", "MIN").zip(outs.zip(expected)))
+        assert(o.zequals(e), s"$name, tick $t ($mode): ${o.entries()} vs ${e.entries()}")
+      if (mode != 'E') appends += 1
+      val previous = modes.take(t).filter(_ != 'E').lastOption
+      if (mode == 'L' && appends % 16 != 0) {
+        // One build per probed trace after a Spark-held tick, none after a local one.
+        val builds = if (previous.contains('L')) Seq(0, 0, 0, 0) else Seq(2, 1, 1, 1)
+        assert(jobs.map(_.all) == builds, s"jobs at tick $t after $previous")
+      }
+    }
+  }
+
   test("null keys never match in a join and group together; −0.0 is 0.0 and NaN is NaN") {
     val rows = Seq[(java.lang.Double, Long, Long)](
       (null, 1L, 1L), (null, 1L, 2L), (-0.0, 1L, 1L), (0.0, 1L, 1L), (Double.NaN, 1L, 1L), (Double.NaN, 1L, 1L))
@@ -229,14 +280,28 @@ class ZSetLawsSpec extends SparkSpec with ZSetFixtures {
     for ((x, y) <- Seq(a -> b, ah -> bh, a -> bh, ah -> b))
       assert(entriesOf(x.join(y, Seq("k"))) == joined)
     // A probe matches keys as they group: the bounded probe by a local `by`,
-    // and the broadcast semi-join a Spark-held `by` falls back to.
+    // the broadcast semi-join a Spark-held `by` falls back to, and the
+    // lookup in the index of a trace whose Spark-held state also holds more
+    // than LocalLimit tuples that match no probe.
+    val filler = (1 to ZSet.LocalLimit).map(i => (Double.box(1000.0 + i), 1L, 1L))
+    val trace = new Trace
+    trace.append(ZSet.raw(dfKV("k", "v", rows ++ filler).localCheckpoint()).compact())
+    assert(!trace.value.isLocal, "fixture: the trace's state is Spark-held")
     val nan = (e: (Seq[String], Long)) => e._1.head == "NaN"
-    for ((keys, matched) <- Seq(Seq[java.lang.Double](null, -0.0) -> expected.filterNot(nan),
-        Seq[java.lang.Double](Double.NaN) -> expected.filter(nan))) {
-      val (by, byH) = localAndHeld(dfKV("k", "u", keys.map((_, 1L, 1L))))
-      val probes = Seq(Trace.probe(a, by, Seq("k")), Trace.probe(ah, by, Seq("k")), Trace.probe(a, byH, Seq("k")),
-        Trace.probe(ah, byH, Seq("k")), Trace.semiJoin(a, by, Seq("k")), Trace.semiJoin(ah, byH, Seq("k")))
-      assert(probes.map(entriesOf).forall(_ == matched), s"probes by $keys")
+    for ((keys, other, matched) <- Seq(
+        (Seq[java.lang.Double](null, -0.0), Double.box(Double.NaN), expected.filterNot(nan)),
+        (Seq[java.lang.Double](Double.NaN), Double.box(0.0), expected.filter(nan)));
+        cols <- Seq(Seq("k"), Seq("k", "v"))) {
+      // A two-column probe also carries a tuple that matches on `k` alone.
+      val extra = if (cols.size == 2) Seq((other, 2L, 1L)) else Nil
+      val (by, byH) = localAndHeld(dfKV("k", "v", keys.map((_, 1L, 1L)) ++ extra))
+      trace.probe(by, cols) // builds the index, or re-keys it for `cols`
+      val (indexed, jobs) = JobCounter.count(spark)(trace.probe(by, cols))
+      assert(indexed.isLocal && jobs.all == 0, s"index probe by $keys on $cols: $jobs")
+      val probes = Seq(Trace.probe(a, by, cols), Trace.probe(ah, by, cols), Trace.probe(a, byH, cols),
+        Trace.probe(ah, byH, cols), Trace.semiJoin(a, by, cols), Trace.semiJoin(ah, byH, cols),
+        indexed, trace.probe(byH, cols))
+      assert(probes.map(entriesOf).forall(_ == matched), s"probes by $keys on $cols")
     }
   }
 
