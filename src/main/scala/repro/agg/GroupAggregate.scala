@@ -75,8 +75,9 @@ object GroupAggregate {
   * The state is one [[Trace]]. For linear aggregates (COUNT/SUM/AVG) it holds
   * the Z-set of accumulator rows `(keys, __cnt[, __sm])`, one per non-empty
   * group; each tick appends the touched groups' new rows minus their old
-  * ones. For MIN it holds the full input integral, and the touched groups'
-  * minima are recomputed from it — the paper's brute-force fallback. Either
+  * ones. For MIN it holds the input integral projected onto the keys and the
+  * MIN column, and the touched groups' minima are recomputed from it — the
+  * paper's brute-force fallback. Either
   * way the old output rows are rendered from the state probed by the touched
   * keys, so no copy of the view is kept. A local change finds the touched
   * groups' state in the trace's driver-side index when the state fits it
@@ -99,8 +100,11 @@ final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
     else {
       // The change of the accumulator rows of the touched groups.
       val accChange = f match {
-        case _: AggFunc.Min =>
-          val dc = d.compact()
+        case AggFunc.Min(c, _) =>
+          // MIN reads only the keys and its column, and π commutes with I:
+          // the trace keeps the change's projection onto them.
+          val cols = (keys :+ c).distinct
+          val dc = (if (d.dataCols == cols) d else d.project(cols: _*)).compact()
           val old = probe(dc)
           state.append(dc)
           accumulate(old.plus(dc).consolidate()).minus(accumulate(old.consolidate()))
@@ -116,6 +120,9 @@ final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
         .select((keys.map(col) :+ (GroupAggregate.render(f) as f.alias) :+ col(W)): _*))
         .compact()
     }
+
+  /** The state's entries, bounded without a Spark job ([[Trace.entryBound]]). */
+  def stateEntries: Option[Long] = state.entryBound
 
   /** The state of the groups `by` touches: none before the first append. */
   private def probe(by: ZSet): ZSet =

@@ -27,6 +27,9 @@ final class IncrementalDistinct extends Op[ZSet, ZSet] {
     i.append(dc)
     IncrementalDistinct.h(im, dc)
   }
+
+  /** The state's entries, bounded without a Spark job ([[Trace.entryBound]]). */
+  def stateEntries: Option[Long] = i.entryBound
 }
 
 object IncrementalDistinct {

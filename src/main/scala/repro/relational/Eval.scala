@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions.expr
 
 import repro.circuit.Op
 import repro.core.{IncrementalBilinear, IncrementalDistinct, ZSetOps}
-import repro.zset.ZSet
+import repro.zset.{Trace, ZSet}
 
 import ZExpr._
 
@@ -82,6 +82,12 @@ final class IncrementalRunner(circuit: ZExpr)
     distincts.getOrElseUpdate(node, new IncrementalDistinct).step(in)
 
   def step(inputs: Map[String, ZSet]): ZSet = walk(circuit, inputs)
+
+  /** The entries of every operator's state, bounded without a Spark job
+    * ([[Trace.entryBound]]).
+    */
+  def stateEntries: Option[Long] =
+    Trace.sumBounds(bilinears.values.map(_.stateEntries) ++ distincts.values.map(_.stateEntries))
 }
 
 /** Algorithm 4.8 stopped after step 4: the lifted circuit surrounded by I
@@ -101,10 +107,11 @@ final class NaiveLiftedRunner(circuit: ZExpr) extends Op[Map[String, ZSet], ZSet
 }
 
 /** Algorithm 4.8, end to end: translate (Table 1) → consolidate distincts
-  * (Props 4.5/4.6) → lift + incrementalize + chain rule.
+  * (Props 4.5/4.6) → push σ and π below ⋈ and × ([[Pushdown]]) → lift +
+  * incrementalize + chain rule.
   */
 object Incrementalizer {
-  def circuitOf(q: Rel): ZExpr = DistinctOptimizer.optimize(Table1.translate(q))
+  def circuitOf(q: Rel): ZExpr = Pushdown.optimize(DistinctOptimizer.optimize(Table1.translate(q)))
 
   /** The maintained incremental circuit for a relational (set) query. */
   def incremental(q: Rel): IncrementalRunner = new IncrementalRunner(circuitOf(q))

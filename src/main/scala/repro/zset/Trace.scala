@@ -26,8 +26,11 @@ import repro.circuit.Op
   * knows, without a job, that the state fits: the count of its last
   * checkpoint plus the counts of the chunks appended since. Building it is
   * one `collect` of the state, in place of that probe's job. A local append
-  * updates it in O(|delta|); an append Spark holds drops it. The Spark copy
-  * stays the value: appends, consolidation and `value` are unchanged.
+  * updates it in O(|delta|); an append Spark holds drops it. A trace that
+  * is indexed when it consolidates builds its new checkpoint from the
+  * index's entries, one job with no shuffle, in place of `compact()`'s
+  * consolidation of the chunks. The Spark copy stays the value: appends
+  * and `value` are unchanged, and the index only ever mirrors it.
   */
 final class Trace {
   private var state: ZSet = _
@@ -60,7 +63,7 @@ final class Trace {
       chunks += 1
       if (chunks < Trace.ConsolidateEvery) before
       else {
-        state = state.compact()
+        state = index.fold(state.compact())(_.toZSet(state.df))
         bound = state.knownSize
         if (state.isLocal) index = None
         chunks = 0
@@ -74,6 +77,13 @@ final class Trace {
     require(state != null, "value of a trace that was never given a Z-set")
     state
   }
+
+  /** At least the state's entry count, known without a Spark job: exact
+    * after a consolidation, and grown by each append's count since (a
+    * deletion counts as an entry until the next consolidation cancels it).
+    * `None` while an append of unknown count is unconsolidated.
+    */
+  def entryBound: Option[Long] = bound
 
   /** Known to be zero without a Spark job: never given a Z-set, or its
     * value a known zero.
@@ -113,6 +123,10 @@ object Trace {
     * states of `orders_trickle` and leaves E2/E3's 1M-row states in Spark.
     */
   private[repro] val IndexLimit = 65536
+
+  /** The sum of entry bounds ([[Trace.entryBound]]), known when each is. */
+  def sumBounds(bounds: Iterable[Option[Long]]): Option[Long] =
+    bounds.foldLeft(Option(0L))((n, m) => for (a <- n; b <- m) yield a + b)
 
   /** I over a Z-set stream, kept in a trace: each step appends its input
     * and returns the integral, so a step costs no job until a

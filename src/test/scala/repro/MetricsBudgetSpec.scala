@@ -1,12 +1,18 @@
 package repro
 
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 
 import repro.agg.{AggFunc, GroupAggregate, IncrementalGroupAggregate}
 import repro.core.{IncrementalDistinct, IncrementalJoin}
 import repro.metrics.{JobCount, JobCounter}
 import repro.nested.{IncrementalTransitiveClosure, NestedIncrementalDistinct}
+import repro.harness.experiments.E1RelationalIvm
 import repro.recursive.TransitiveClosure
+import repro.relational.{DistinctOptimizer, Incrementalizer, IncrementalRunner, Table1}
 import repro.streaming.StreamRelationJoin
 import repro.zset.{Trace, ZSet}
 
@@ -19,8 +25,10 @@ import repro.zset.{Trace, ZSet}
   * launches no broadcast exchange, nor does a single-edge update over
   * Spark-held outer columns or a Spark-held change against local state. A single-edge update also launches fewer
   * jobs than recomputing the closure. State of at most `LocalLimit` entries
-  * is local once compacted, and a tick over it launches no job. Ceilings are
-  * the counts measured when they were set; they may only ever be lowered.
+  * is local once compacted, and a tick over it launches no job. The
+  * operators' state entries, known without a job, stay under ceilings too.
+  * Ceilings are the counts measured when they were set; they may only ever
+  * be lowered.
   */
 class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
   import MetricsBudgetSpec._
@@ -328,6 +336,55 @@ class MetricsBudgetSpec extends SparkSpec with ZSetFixtures {
     assert(out.entryCount == 5L && j.all <= JoinLargeChangeSmallStateCeiling && j.broadcast == 0)
   }
 
+  test("a Spark-held change with more than LocalLimit rows matching local state is joined without a broadcast") {
+    val join = new IncrementalJoin(Seq("k"))
+    val kvb = StructType(Seq(StructField("k", LongType), StructField("vb", LongType)))
+    join.step(small("v"), small("vb")).compact()
+    // 2000 rows over the state's 20 keys: all match, so the change's probe
+    // by the state's keys is not bounded.
+    val large = zs2("k", "v", (0L until 2000L).map(i => (i % 20, i + 100) -> 1L): _*)
+    val (out, j) = jobsByKind(join.step(large, ZSet.empty(spark, kvb)).compact())
+    info(s"jobs: $j")
+    assert(j.all <= JoinLargeMatchSmallStateCeiling && j.broadcast == 0)
+    assert(out.entryCount == 10000L && out.zequals(held(large).join(held(small("vb")), Seq("k"))))
+  }
+
+  test("the state of E1's circuit and of grouped MIN at toy size stays under its entry ceilings, known without a job") {
+    // 3000 orders of 300 customers, prices uniform in [1000, 501000), then
+    // three ticks that each delete 10 live orders and insert 10 new ones:
+    // E1's view and the MIN of the price per customer maintained.
+    val rnd = new java.util.Random(7)
+    val orderSchema = StructType(Seq(StructField("o_orderkey", LongType), StructField("o_custkey", LongType),
+      StructField("o_totalprice", DoubleType), StructField(ZSet.W, LongType)))
+    def order(key: Long) = Row(key, 1L + rnd.nextInt(300), 1000.0 + rnd.nextInt(500000), 1L)
+    def orders(rows: Seq[Row]) = ZSet.raw(spark.createDataFrame(rows.asJava, orderSchema))
+    val live = mutable.ArrayBuffer.tabulate(3000)(i => order(i + 1L))
+    val customer = ZSet.raw(spark.createDataFrame((1L to 300L).map(c => Row(c, s"SEGMENT${c % 5}", 1L)).asJava,
+      StructType(Seq(StructField("c_custkey", LongType), StructField("c_mktsegment", StringType),
+        StructField(ZSet.W, LongType)))))
+    val ticks = Seq(orders(live.toSeq)) ++ (1 to 3).map { t =>
+      val dels = Seq.fill(10)(live.remove(rnd.nextInt(live.size)))
+      val ins = (1 to 10).map(i => order(10000L * t + i))
+      live ++= ins
+      orders(ins ++ dels.map(r => Row(r.get(0), r.get(1), r.get(2), -1L)))
+    }
+    val pushed = Incrementalizer.incremental(E1RelationalIvm.query)
+    val unpushed = new IncrementalRunner(DistinctOptimizer.optimize(Table1.translate(E1RelationalIvm.query)))
+    val min = new IncrementalGroupAggregate(Seq("o_custkey"), AggFunc.Min("o_totalprice"))
+    val noCustomers = ZSet.empty(spark, customer.dataSchema)
+    for ((d, t) <- ticks.zipWithIndex) {
+      val inputs = Map("orders" -> d, "customer" -> (if (t == 0) customer else noCustomers))
+      pushed.step(inputs).compact()
+      unpushed.step(inputs).compact()
+      min.step(d).compact()
+    }
+    val (states, jobs) = jobsByKind(Seq(pushed, unpushed).map(_.stateEntries) :+ min.stateEntries)
+    info(s"state entries: E1 ${states(0)} (${states(1)} with σ and π above the join), MIN ${states(2)}")
+    assert(jobs.all == 0)
+    assert(states(0).exists(_ <= E1StateCeiling) && states(2).exists(_ <= MinStateCeiling))
+    assert(states(0).exists(n => states(1).exists(_ > n)))
+  }
+
   test("a probe matching more than LocalLimit rows falls back to the broadcast plan") {
     val state = held(zs2("k", "v", (0L to ZSet.LocalLimit.toLong).map(i => (0L, i + 10) -> 1L): _*)).compact()
     val change = zs2("k", "v", (0L, 10L) -> -1L, (1L, 5L) -> 1L)
@@ -425,6 +482,16 @@ object MetricsBudgetSpec {
   // broadcast, the change probed by the state's keys (6 with 1 broadcast
   // when only the state was probed, and the change broadcast).
   private val JoinLargeChangeSmallStateCeiling = 3
+  // The same join, a Spark-held change of 2000 rows that all match the
+  // state: 5 jobs, no broadcast, the product a map over the change's
+  // partitions (6 with 1 broadcast when the failed probe was followed by
+  // the change broadcast).
+  private val JoinLargeMatchSmallStateCeiling = 5
+  // Job-free entry bounds after a 3000-order load and three ticks of 10
+  // deletions and 10 insertions: E1's circuit 5208 (5814 with σ and π above
+  // the join, its orders operand unfiltered), grouped MIN 3060.
+  private val E1StateCeiling = 5208L
+  private val MinStateCeiling = 3060L
   // A tick with a change of LocalLimit + 1 rows, same setting, as measured
   // before local Z-sets existed.
   private val JoinLargeJobs = 5

@@ -1,6 +1,10 @@
 package repro.agg
 
+import scala.jdk.CollectionConverters._
 import scala.util.Random
+
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types._
 
 import repro.harness.Changes
 import repro.zset.ZSet
@@ -143,6 +147,37 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
     for (keys <- Seq(Seq("k"), Nil)) {
       checkIncremental(AggFunc.Sum("v"), deltas, keys)
       checkIncremental(AggFunc.Min("v"), deltas, keys)
+    }
+  }
+
+  test("MIN keeps only its keys and column: equal (key, value) rows, null values, a group emptied and refilled") {
+    // Rows (k, v, o) with nullable v and a column o MIN does not read.
+    val schema = StructType(Seq(StructField("k", LongType), StructField("v", LongType),
+      StructField("o", LongType), StructField(ZSet.W, LongType)))
+    def kvo(rows: (Long, java.lang.Long, Long, Long)*): DataFrame =
+      spark.createDataFrame(rows.map { case (k, v, o, w) => Row(k, v, o, w) }.asJava, schema)
+    val changes = Seq(
+      // Group 1: two rows at (1, 10) that differ in o; group 2: a null v.
+      kvo((1L, 10L, 1L, 1L), (1L, 10L, 2L, 1L), (1L, 20L, 3L, 1L), (2L, null, 4L, 1L)),
+      // One (1, 10) row goes: MIN stays 10.
+      kvo((1L, 10L, 2L, -1L)),
+      // Group 2 gets a value beside its null, then empties.
+      kvo((2L, 7L, 5L, 1L)),
+      kvo((2L, null, 4L, -1L), (2L, 7L, 5L, -1L)),
+      // The other (1, 10) row goes: MIN becomes 20; group 2 returns with a null.
+      kvo((1L, 10L, 1L, -1L), (2L, null, 6L, 1L)),
+      kvo((2L, 3L, 7L, 1L)))
+    for ((mode, ds) <- modes(changes)) {
+      val op = new IncrementalGroupAggregate(Seq("k"), AggFunc.Min("v"))
+      var inAcc = ZSet.empty(spark, ds.head.dataSchema)
+      var outAcc = ZSet.empty(spark, op.step(ZSet.empty(spark, ds.head.dataSchema)).dataSchema)
+      for ((d, t) <- ds.zipWithIndex) {
+        outAcc = outAcc.plus(op.step(d)).compact()
+        inAcc = inAcc.plus(d).compact()
+        assert(outAcc.zequals(GroupAggregate.batch(inAcc, Seq("k"), AggFunc.Min("v"))), s"$mode tick $t")
+        // The state holds (k, v): the two (1, 10) rows are one entry.
+        if (t == 0) assert(op.stateEntries.contains(3L), s"$mode: ${op.stateEntries}")
+      }
     }
   }
 

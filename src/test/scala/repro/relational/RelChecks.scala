@@ -18,7 +18,14 @@ trait RelChecks { self: SparkSpec =>
     * integrated output for further checks.
     */
   def incrementalCheck(q: Rel, ticks: Int, deleteFrac: Double,
-                       inputs: (String, ZSet)*): ZSet = {
+                       inputs: (String, ZSet)*): ZSet =
+    incrementalCheckWith(q, ticks, deleteFrac, inputs: _*)((_, _) => ())
+
+  /** [[incrementalCheck]], also handing `atTick` the integrated output and
+    * the input snapshots after every tick.
+    */
+  def incrementalCheckWith(q: Rel, ticks: Int, deleteFrac: Double, inputs: (String, ZSet)*)(
+      atTick: (ZSet, Map[String, ZSet]) => Unit): ZSet = {
     val streams = inputs.map { case (n, z) =>
       n -> Changes.stream(z, ticks, initialFrac = 0.5, deleteFrac = deleteFrac,
         seed = n.hashCode.toLong)
@@ -36,6 +43,7 @@ trait RelChecks { self: SparkSpec =>
       val dNaive = naive.step(dmap)
       assert(dInc.zequals(dNaive), s"tick $t: incremental ≠ naïve lifted")
       outAcc = Some(outAcc.map(_.plus(dInc).compact()).getOrElse(dInc))
+      atTick(outAcc.get, inAcc.toMap)
     }
     val batch = Incrementalizer.batch(q, inAcc.toMap)
     assert(outAcc.get.zequals(batch), "integral of output deltas ≠ batch on final snapshot")

@@ -305,6 +305,28 @@ class ZSetLawsSpec extends SparkSpec with ZSetFixtures {
     }
   }
 
+  test("an indexed trace consolidates from its index in one job, to compact()'s state, null, −0.0, 0.0 and NaN included") {
+    // A Spark-held load of more than LocalLimit tuples, indexed by a local
+    // probe, then 15 local appends of null, −0.0, 0.0 and NaN keys that add,
+    // merge and cancel tuples: the 16th append consolidates.
+    val rnd = new Random(12)
+    val filler = (1 to ZSet.LocalLimit).map(i => (Double.box(1000.0 + i), i.toLong, 1L))
+    val load = ZSet.raw(dfKV("k", "v", filler ++ edgeKeys.map((_, 1L, 1L))).localCheckpoint()).compact()
+    val deltas = Seq.fill(15)(ZSet.raw(dfKV("k", "v", Seq.fill(4)(
+      (edgeKeys(rnd.nextInt(edgeKeys.size)), rnd.nextInt(2).toLong, Seq(-2L, -1L, 1L, 2L)(rnd.nextInt(4)))))))
+    assert(!load.isLocal && deltas.forall(d => d.isLocal && !d.isKnownZero), "fixture: representations")
+    val trace = new Trace
+    trace.append(load)
+    trace.probe(ZSet.raw(dfKV("k", "v", Seq((1.5, 1L, 1L)))), Seq("k")) // builds the index
+    deltas.init.foreach(trace.append)
+    val (_, jobs) = JobCounter.count(spark)(trace.append(deltas.last))
+    val compacted = deltas.foldLeft(load)(_.plus(_)).compact()
+    val (bound, boundJobs) = JobCounter.count(spark)(trace.entryBound)
+    assert(jobs.all == 1 && boundJobs.all == 0, s"consolidation $jobs, bound $boundJobs")
+    assert(!trace.value.isLocal && bound.contains(compacted.entryCount))
+    assert(trace.value.entries() == compacted.entries())
+  }
+
   test("weight overflow in a join and in a consolidation throws on both representations") {
     def overflows(body: => Any): Boolean =
       try { body; false }
