@@ -102,9 +102,12 @@ final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
       val accChange = f match {
         case AggFunc.Min(c, _) =>
           // MIN reads only the keys and its column, and π commutes with I:
-          // the trace keeps the change's projection onto them.
+          // the trace keeps the change's projection onto them. Only names
+          // that are columns are projected: a projected field path ("s.v")
+          // would be renamed to its last part.
           val cols = (keys :+ c).distinct
-          val dc = (if (d.dataCols == cols) d else d.project(cols: _*)).compact()
+          val narrow = cols != d.dataCols && cols.forall(d.dataCols.contains)
+          val dc = (if (narrow) d.project(cols: _*) else d).compact()
           val old = probe(dc)
           state.append(dc)
           accumulate(old.plus(dc).consolidate()).minus(accumulate(old.consolidate()))

@@ -181,6 +181,18 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
     }
   }
 
+  test("incremental MIN of a struct field, beside a field it does not read") {
+    val schema = StructType(Seq(StructField("k", LongType), StructField("v", LongType),
+      StructField("o", LongType), StructField(ZSet.W, LongType)))
+    def kso(rows: (Long, Long, Long, Long)*): ZSet = ZSet.raw(spark
+      .createDataFrame(rows.map { case (k, v, o, w) => Row(k, v, o, w) }.asJava, schema)
+      .selectExpr("k", "named_struct('v', v, 'o', o) AS s", ZSet.W))
+    checkIncremental(AggFunc.Min("s.v"), Seq(
+      kso((1L, 10L, 1L, 1L), (1L, 20L, 2L, 1L), (2L, 5L, 3L, 1L)),
+      kso((1L, 10L, 1L, -1L)),
+      kso((2L, 4L, 4L, 1L), (1L, 10L, 5L, 1L))))
+  }
+
   test("untouched groups emit no output (§7.4: only changed groupings re-evaluated)") {
     val inc = new IncrementalGroupAggregate(Seq("k"), AggFunc.Count())
     inc.step(kv((1L, 1L) -> 1L, (2L, 1L) -> 1L, (3L, 1L) -> 1L))
