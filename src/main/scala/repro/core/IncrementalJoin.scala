@@ -45,9 +45,7 @@ object IncrementalBilinear {
     * local one's `keys` and the product finished on the driver: the state
     * when the change is local ([[Trace.bounded]], by its index or one Spark
     * job), else the change when the state is. When neither probe is
-    * bounded, the product is a Spark plan: a map over the Spark-held
-    * operand's partitions if the other is local, else a join with the change
-    * side broadcast.
+    * bounded, the product with the change side broadcast.
     */
   def probed(state: Trace, change: ZSet, keys: Seq[String])(times: (ZSet, ZSet) => ZSet): ZSet =
     state.bounded(change, keys).map(times(_, change))

@@ -3,7 +3,7 @@ package repro.zset
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.{Column, DataFrame, Encoders, Observation, Row, SparkSession, functions}
+import org.apache.spark.sql.{Column, DataFrame, Observation, Row, SparkSession, functions}
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -49,9 +49,8 @@ import repro.algebra.Group
   * consolidation, ⋈ and × run on the driver; σ, π, map, negation, scaling
   * and distinct stay Spark expressions, which the optimizer folds into a
   * local relation again. A result with more than `LocalLimit` entries, and
-  * any result with a non-local operand, is a lazy Spark plan; ⋈ and × of a
-  * local operand with a Spark-held one map the Spark-held operand's
-  * partitions, the local entries shipped with the tasks. Local
+  * any result with a non-local operand, is the lazy Spark plan it always
+  * was. Local
   * arithmetic follows Spark's: grouping puts nulls together and treats −0.0
   * as 0.0 and NaN as equal to NaN, join keys never match on null, and
   * weight overflow throws.
@@ -182,21 +181,28 @@ final class ZSet private (
 
   /** A bilinear result: zero when either operand is a known zero, computed on
     * the driver when both are local (a Cartesian product when `keys` is
-    * empty), by a map over the other operand's partitions when one is local
-    * (its entries shipped with the tasks: no exchange, no broadcast job),
-    * else the plan `out`.
+    * empty), else the plan `out`.
     */
   private def product(that: ZSet, out: DataFrame, keys: Seq[String]): ZSet =
     if (isKnownZero || that.isKnownZero) new ZSet(out, Some(0L))
-    else {
-      val p = new ZSet.Product(dataCols, that.dataCols, keys, out.columns.toSeq.filterNot(_ == W))
-      (entriesHeld, that.entriesHeld) match {
-        case (Some(a), Some(b)) => ZSet.fromEntries(out, Some(p.pairs(a.iterator, b, heldOnRight = true)))
-        case (Some(a), None)    => new ZSet(ZSet.mapEntries(that.df, out.schema)(p.pairs(_, a, heldOnRight = false)))
-        case (None, Some(b))    => new ZSet(ZSet.mapEntries(df, out.schema)(p.pairs(_, b, heldOnRight = true)))
-        case (None, None)       => new ZSet(out)
+    else ZSet.fromEntries(out, for (a <- entriesHeld; b <- that.entriesHeld) yield {
+      val (mine, theirs) = (dataCols.zipWithIndex.toMap, that.dataCols.zipWithIndex.toMap)
+      // Each output column from the left operand if it has it (join keys
+      // included), else from the right.
+      val pick: Seq[(Row, Row) => Any] = out.columns.toSeq.filterNot(_ == W).map { c =>
+        mine.get(c) match {
+          case Some(i) => (l: Row, _: Row) => l.get(i)
+          case None    => val j = theirs(c); (_: Row, r: Row) => r.get(j)
+        }
       }
-    }
+      // Join keys never match on null.
+      val byKey = b.groupBy { case (r, _) => ZSet.keyOf(r, keys.map(theirs)) }
+      for {
+        (l, wl) <- a.iterator
+        k = ZSet.keyOf(l, keys.map(mine)) if !k.anyNull
+        (r, wr) <- byKey.getOrElse(k, Vector.empty).iterator
+      } yield (Row.fromSeq(pick.map(_(l, r))), Math.multiplyExact(wl, wr))
+    })
 
   /** The tuples whose `keys` columns match a tuple of the local `by`, as a
     * local Z-set — on the driver if this is local, else by one Spark job: the
@@ -298,10 +304,10 @@ final class ZSet private (
 
   /** Mark this Z-set for broadcast in a following join. Only the fallback
     * of `IncrementalBilinear.probed` uses it: a state × change product whose
-    * operands' probes are not bounded, and neither of which is local,
-    * broadcasts its change side (the global auto-broadcast threshold stays
-    * disabled; the hint is deliberate). A bounded probe, or a trace's
-    * driver-side index, is how the operators look state up.
+    * operands' probes are not bounded broadcasts its change side (the
+    * global auto-broadcast threshold stays disabled; the hint is
+    * deliberate). A bounded probe, or a trace's driver-side index, is how
+    * the operators look state up.
     */
   def broadcastHint: ZSet = new ZSet(broadcast(df), knownCount, localEntries)
 
@@ -532,49 +538,6 @@ object ZSet {
     require(by.isLocal, "probe: the probing Z-set must be local")
     val at = keys.map(by.dataCols.indexOf)
     by.entriesHeld.get.iterator.map { case (r, _) => keyOf(r, at) }.toSet
-  }
-
-  /** The entries of a product of entries with `lCols` and `rCols` data
-    * columns on `keys`, with `outCols` data columns: each output column from
-    * the left operand if it has it (join keys included), else from the
-    * right. Keys match as Spark's join matches them: never on null, −0.0
-    * with 0.0, NaN with NaN; weights multiply, overflow-checked.
-    */
-  private final class Product(lCols: Seq[String], rCols: Seq[String], keys: Seq[String], outCols: Seq[String])
-      extends Serializable {
-    private val (li, ri) = (lCols.zipWithIndex.toMap, rCols.zipWithIndex.toMap)
-    private val (lk, rk) = (keys.map(li), keys.map(ri))
-    private val pick = outCols.map(c => li.get(c).toLeft(ri(c)))
-
-    /** `streamed`'s entries paired with `held`'s, `held` being the right
-      * operand of the product or the left one.
-      */
-    def pairs(streamed: Iterator[(Row, Long)], held: Seq[(Row, Long)],
-              heldOnRight: Boolean): Iterator[(Row, Long)] = {
-      val (hk, sk) = if (heldOnRight) (rk, lk) else (lk, rk)
-      val byKey = held.groupBy { case (r, _) => keyOf(r, hk) }
-      for {
-        (s, ws) <- streamed
-        k = keyOf(s, sk) if !k.anyNull
-        (h, wh) <- byKey.getOrElse(k, Nil).iterator
-      } yield {
-        val (l, r) = if (heldOnRight) (s, h) else (h, s)
-        (Row.fromSeq(pick.map(_.fold(l.get, r.get))), Math.multiplyExact(ws, wh))
-      }
-    }
-  }
-
-  /** The weighted plan whose entries are `f` of each partition's entries of
-    * the weighted plan `df`, with schema `schema`: a map over partitions,
-    * no exchange.
-    */
-  private def mapEntries(df: DataFrame, schema: StructType)(
-      f: Iterator[(Row, Long)] => Iterator[(Row, Long)]): DataFrame = {
-    val (w, outW) = (df.schema.fieldIndex(W), schema.fieldIndex(W))
-    val data = df.schema.indices.filterNot(_ == w)
-    df.mapPartitions((rows: Iterator[Row]) =>
-      f(rows.map(r => (Row.fromSeq(data.map(r.get)), r.getLong(w))))
-        .map { case (r, n) => Row.fromSeq(r.toSeq.patch(outW, Seq(n), 0)) })(Encoders.row(schema))
   }
 
   /** A driver-side hash index of consolidated entries, after differential
